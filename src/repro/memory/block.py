@@ -36,14 +36,13 @@ class Segment:
     start: int
     size: int
     blocks: List[Block] = field(default_factory=list)
+    #: Total size of the allocated blocks, kept current by allocate and free.
+    allocated_bytes: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if not self.blocks:
             self.blocks = [Block(offset=0, size=self.size)]
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(block.size for block in self.blocks if block.allocated)
+        self.allocated_bytes = sum(block.size for block in self.blocks if block.allocated)
 
     @property
     def free_bytes(self) -> int:
@@ -82,6 +81,7 @@ class Segment:
             raise ValueError("cannot allocate in an already-allocated block")
         if block.size < size:
             raise ValueError("block too small for allocation")
+        self.allocated_bytes += size
         if block.size == size:
             block.allocated = True
             block.tensor_id = tensor_id
@@ -93,15 +93,20 @@ class Segment:
         self.blocks.insert(index + 1, remainder)
         return block
 
-    def free_tensor(self, tensor_id: str) -> bool:
-        """Free the block backing ``tensor_id`` and coalesce free neighbours."""
+    def free_tensor(self, tensor_id: str) -> Optional[int]:
+        """Free the block backing ``tensor_id`` and coalesce free neighbours.
+
+        Returns the freed block's size, or None if no block backs the tensor.
+        """
         for index, block in enumerate(self.blocks):
             if block.allocated and block.tensor_id == tensor_id:
+                freed = block.size
                 block.allocated = False
                 block.tensor_id = None
+                self.allocated_bytes -= freed
                 self._coalesce_around(index)
-                return True
-        return False
+                return freed
+        return None
 
     def _coalesce_around(self, index: int) -> None:
         # Merge with the following block first so the index stays valid.

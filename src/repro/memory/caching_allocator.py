@@ -87,23 +87,29 @@ class CachingAllocator:
     _tensor_segment: Dict[str, int] = field(default_factory=dict)
     _next_segment_start: int = 0
     _step: int = 0
+    # Running totals, kept current where blocks and segments change, so that
+    # recording a request does not re-sum every segment.
+    _allocated_bytes: int = field(init=False, default=0)
+    _reserved_bytes: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         if self.round_to_bytes <= 0:
             raise ValueError("round_to_bytes must be positive")
+        self._allocated_bytes = sum(segment.allocated_bytes for segment in self.segments)
+        self._reserved_bytes = sum(segment.size for segment in self.segments)
 
     # ------------------------------------------------------------------ sizes
     @property
     def reserved_bytes(self) -> int:
         """Memory held from the device (sum of segment sizes)."""
-        return sum(segment.size for segment in self.segments)
+        return self._reserved_bytes
 
     @property
     def allocated_bytes(self) -> int:
         """Memory currently backing live tensors."""
-        return sum(segment.allocated_bytes for segment in self.segments)
+        return self._allocated_bytes
 
     @property
     def fragmentation_bytes(self) -> int:
@@ -170,6 +176,7 @@ class CachingAllocator:
         if best is not None:
             _, segment_index, block_index = best
             self.segments[segment_index].allocate_in_block(block_index, rounded, tensor_id)
+            self._allocated_bytes += rounded
             return segment_index
         # 2. grow: cudaMalloc a new segment if the device has room.
         segment_size = max(rounded, self.small_segment_bytes)
@@ -180,6 +187,8 @@ class CachingAllocator:
             self._next_segment_start += segment_size
             segment.allocate_in_block(0, rounded, tensor_id)
             self.segments.append(segment)
+            self._reserved_bytes += segment_size
+            self._allocated_bytes += rounded
             self.stats.num_segment_allocations += 1
             return len(self.segments) - 1
         return None
@@ -202,6 +211,7 @@ class CachingAllocator:
                 kept.append(segment)
         if released:
             self.segments = kept
+            self._reserved_bytes -= released
             self._tensor_segment = {
                 tensor: index_remap[old_index]
                 for tensor, old_index in self._tensor_segment.items()
@@ -216,8 +226,9 @@ class CachingAllocator:
         if segment_index is None:
             raise KeyError(f"tensor {tensor_id!r} is not allocated")
         freed = self.segments[segment_index].free_tensor(tensor_id)
-        if not freed:
+        if freed is None:
             raise KeyError(f"tensor {tensor_id!r} not found in its segment")
+        self._allocated_bytes -= freed
         self.stats.num_frees += 1
         self._record()
 

@@ -159,24 +159,17 @@ class BiLevelPlanner:
             if entry.tensor_id == PSEUDO_LAYER_BLOCK:
                 continue
             full.add(entry)
+        # Level-1 entries are named "L0.fwd.x" / "L0.bwd.x"; each layer reuses
+        # them under its own name, at the same address.
+        layer_entries = []
+        for base_plan, pass_name in ((layer_forward_plan, "fwd"), (layer_backward_plan, "bwd")):
+            for entry in base_plan.entries.values():
+                suffix = entry.tensor_id.split(".", 1)[1]
+                if suffix.startswith(pass_name):
+                    layer_entries.append((suffix, pseudo_address + entry.address, entry.size))
         for layer in range(self.model.num_layers):
-            for base_plan, pass_name in (
-                (layer_forward_plan, "fwd"),
-                (layer_backward_plan, "bwd"),
-            ):
-                for entry in base_plan.entries.values():
-                    # Level-1 entries are named "L0.fwd.x" / "L0.bwd.x"; rename
-                    # them for the concrete layer while keeping the address.
-                    suffix = entry.tensor_id.split(".", 1)[1]
-                    if not suffix.startswith(pass_name):
-                        continue
-                    full.add(
-                        PlanEntry(
-                            tensor_id=f"L{layer}.{suffix}",
-                            address=pseudo_address + entry.address,
-                            size=entry.size,
-                        )
-                    )
+            for suffix, address, size in layer_entries:
+                full.add(PlanEntry(tensor_id=f"L{layer}.{suffix}", address=address, size=size))
         full.peak_bytes = max(full.peak_bytes, model_plan.peak_bytes)
         return full
 

@@ -7,8 +7,8 @@ minimising the peak address used (Section 4.2 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.memory.request import MemoryRequest, tensor_lifespans
 from repro.planner.plan import MemoryPlan
@@ -40,6 +40,15 @@ class DSAProblem:
 
     tensors: Tuple[DSATensor, ...]
     conflicts: FrozenSet[Tuple[str, str]]
+    #: Derived adjacency index, built once: tensor id -> the ids it conflicts with.
+    neighbours: Dict[str, Set[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        neighbours: Dict[str, Set[str]] = {t.tensor_id: set() for t in self.tensors}
+        for a, b in self.conflicts:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        object.__setattr__(self, "neighbours", neighbours)
 
     @property
     def total_bytes(self) -> int:
@@ -51,7 +60,7 @@ class DSAProblem:
 
     def conflicting(self, a: str, b: str) -> bool:
         """Whether tensors ``a`` and ``b`` have overlapping lifespans."""
-        return (a, b) in self.conflicts or (b, a) in self.conflicts
+        return b in self.neighbours.get(a, ())
 
     def lower_bound_bytes(self) -> int:
         """Lower bound on the optimal peak: max total size live at any instant."""
@@ -76,9 +85,10 @@ class DSAProblem:
             ValueError: on a missing tensor, a size mismatch, or two
                 conflicting tensors whose planned regions overlap.
         """
-        by_id: Dict[str, DSATensor] = {t.tensor_id: t for t in self.tensors}
+        entries = plan.entries
+        spans: Dict[str, Tuple[int, int]] = {}
         for tensor in self.tensors:
-            entry = plan.get(tensor.tensor_id)
+            entry = entries.get(tensor.tensor_id)
             if entry is None:
                 raise ValueError(f"plan is missing tensor {tensor.tensor_id!r}")
             if entry.size != tensor.size:
@@ -86,15 +96,15 @@ class DSAProblem:
                     f"plan size mismatch for {tensor.tensor_id!r}: "
                     f"{entry.size} != {tensor.size}"
                 )
+            spans[tensor.tensor_id] = (entry.address, entry.address + entry.size)
         for a, b in self.conflicts:
-            entry_a = plan.get(a)
-            entry_b = plan.get(b)
-            if entry_a is not None and entry_b is not None and entry_a.overlaps(entry_b):
+            start_a, end_a = spans[a]
+            start_b, end_b = spans[b]
+            if start_a < end_b and start_b < end_a:
                 raise ValueError(
                     f"conflicting tensors {a!r} and {b!r} overlap in the plan "
-                    f"([{entry_a.address}, {entry_a.end}) vs [{entry_b.address}, {entry_b.end}))"
+                    f"([{start_a}, {end_a}) vs [{start_b}, {end_b}))"
                 )
-        del by_id
 
 
 def problem_from_tensors(tensors: Sequence[DSATensor]) -> DSAProblem:
@@ -102,11 +112,18 @@ def problem_from_tensors(tensors: Sequence[DSATensor]) -> DSAProblem:
     ids = [t.tensor_id for t in tensors]
     if len(set(ids)) != len(ids):
         raise ValueError("tensor ids must be unique")
+    # Sweep by start time, keeping the lifespans still open: each open one
+    # conflicts with the tensor being swept, so the scan costs O(n log n + |E|).
+    # Pairs keep input order (i < j), as a pairwise scan would emit them.
     conflicts = set()
-    for i, a in enumerate(tensors):
-        for b in tensors[i + 1:]:
-            if a.conflicts_with(b):
-                conflicts.add((a.tensor_id, b.tensor_id))
+    open_indices: List[int] = []
+    for j in sorted(range(len(tensors)), key=lambda index: tensors[index].start):
+        start = tensors[j].start
+        open_indices = [i for i in open_indices if tensors[i].end > start]
+        for i in open_indices:
+            a, b = (i, j) if i < j else (j, i)
+            conflicts.add((ids[a], ids[b]))
+        open_indices.append(j)
     return DSAProblem(tensors=tuple(tensors), conflicts=frozenset(conflicts))
 
 

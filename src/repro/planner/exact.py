@@ -72,22 +72,19 @@ def _solve_branch_and_bound(problem: DSAProblem, options: ExactSolverOptions) ->
 
     placed: Dict[str, PlanEntry] = {}
 
+    def placed_neighbours(tensor: DSATensor) -> List[PlanEntry]:
+        neighbours = problem.neighbours[tensor.tensor_id]
+        return [placed[other] for other in neighbours if other in placed]
+
     def candidate_addresses(tensor: DSATensor) -> List[int]:
         """Addresses worth trying: 0 and the end of every conflicting placement."""
-        addresses = {0}
-        for other_id, entry in placed.items():
-            if problem.conflicting(tensor.tensor_id, other_id):
-                addresses.add(entry.end)
-        return sorted(addresses)
+        return sorted({0, *(entry.end for entry in placed_neighbours(tensor))})
 
     def feasible(tensor: DSATensor, address: int) -> bool:
         end = address + tensor.size
-        for other_id, entry in placed.items():
-            if not problem.conflicting(tensor.tensor_id, other_id):
-                continue
-            if address < entry.end and entry.address < end:
-                return False
-        return True
+        return not any(
+            address < entry.end and entry.address < end for entry in placed_neighbours(tensor)
+        )
 
     def recurse(index: int, current_peak: int) -> None:
         nonlocal best_plan, best_peak, nodes_visited

@@ -15,68 +15,41 @@ peak memory is heuristic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.planner.dsa import DSAProblem, DSATensor
 from repro.planner.plan import MemoryPlan, PlanEntry
 
 
-def _conflicting_entries(
-    problem: DSAProblem, tensor: DSATensor, placed: Dict[str, PlanEntry]
-) -> List[PlanEntry]:
-    """Entries already placed that conflict (in time) with ``tensor``."""
-    conflicting = []
-    for other_id, entry in placed.items():
-        if problem.conflicting(tensor.tensor_id, other_id):
-            conflicting.append(entry)
-    return conflicting
-
-
-def _place_lowest_fit(
-    tensor: DSATensor,
-    conflicting: Iterable[PlanEntry],
-    best_fit: bool,
-) -> int:
-    """Choose an address for ``tensor`` avoiding all conflicting regions.
-
-    With ``best_fit`` the smallest gap that fits is chosen; otherwise the
-    lowest feasible address is used (first fit).
-    """
-    intervals = sorted((entry.address, entry.end) for entry in conflicting)
-    # Merge overlapping occupied intervals.
-    merged: List[Tuple[int, int]] = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    # Candidate gaps: before the first interval, between intervals, after the last.
-    gaps: List[Tuple[int, Optional[int]]] = []
-    cursor = 0
-    for start, end in merged:
-        if start - cursor >= tensor.size:
-            gaps.append((cursor, start - cursor))
-        cursor = max(cursor, end)
-    gaps.append((cursor, None))  # unbounded tail gap
-
-    if not best_fit:
-        return gaps[0][0]
-    bounded = [(addr, size) for addr, size in gaps if size is not None]
-    if bounded:
-        addr, _ = min(bounded, key=lambda gap: (gap[1], gap[0]))
-        return addr
-    return gaps[-1][0]
-
-
 def _solve_in_order(problem: DSAProblem, order: List[DSATensor], best_fit: bool, name: str) -> MemoryPlan:
+    """Place ``order`` one by one, each clear of its placed conflicting tensors.
+
+    With ``best_fit`` the smallest gap that fits is chosen (lowest address on
+    ties); otherwise the lowest feasible address is used (first fit).  With no
+    bounded gap that fits, the tensor goes above every conflicting region.
+    """
     plan = MemoryPlan(solver=name)
-    placed: Dict[str, PlanEntry] = {}
+    placed: Dict[str, Tuple[int, int]] = {}
     for tensor in order:
-        conflicting = _conflicting_entries(problem, tensor, placed)
-        address = _place_lowest_fit(tensor, conflicting, best_fit=best_fit)
-        entry = PlanEntry(tensor_id=tensor.tensor_id, address=address, size=tensor.size)
-        plan.add(entry)
-        placed[tensor.tensor_id] = entry
+        size = tensor.size
+        spans = [placed[other] for other in problem.neighbours[tensor.tensor_id] if other in placed]
+        spans.sort()
+        # One pass over the address-sorted spans: a gap opens only where a span
+        # starts above the highest end seen so far, so no merging is needed.
+        address = best_gap = None
+        cursor = 0
+        for start, end in spans:
+            gap = start - cursor
+            if gap >= size and (best_gap is None or gap < best_gap):
+                address, best_gap = cursor, gap
+                if not best_fit:
+                    break
+            if end > cursor:
+                cursor = end
+        if address is None:
+            address = cursor
+        plan.add(PlanEntry(tensor_id=tensor.tensor_id, address=address, size=size))
+        placed[tensor.tensor_id] = (address, address + size)
     problem.validate_plan(plan)
     return plan
 

@@ -41,12 +41,27 @@ class TestReportHelpers:
         assert "col" in text and "value" in text
 
 
+@pytest.fixture(scope="module")
+def figure1a_8k():
+    return run_figure1a(per_gpu_tokens=8 * 1024, capacity_gib=40.0, num_iterations=5)
+
+
 class TestFigure1:
-    def test_fragmentation_experiment_shows_the_pathology(self):
-        result = run_figure1a(per_gpu_tokens=8 * 1024, capacity_gib=40.0, num_iterations=5)
+    def test_fragmentation_experiment_shows_the_pathology(self, figure1a_8k):
+        result = figure1a_8k
         assert result.peak_reserved_gib >= result.peak_allocated_gib
         assert result.fragmentation_exceeds_4gib
         assert result.planned_peak_gib <= result.peak_allocated_gib * 1.01
+
+    def test_fragmentation_experiment_golden_values(self, figure1a_8k):
+        # Exact outputs of the pairwise planner and re-summing allocator:
+        # faster bookkeeping must leave every one bit-identical.
+        result = figure1a_8k
+        assert result.peak_allocated_gib == 34.83329963684082
+        assert result.peak_reserved_gib == 35.23170471191406
+        assert result.num_reorganizations == 0
+        assert result.oom is False
+        assert result.planned_peak_gib == 34.83329963684082
 
     def test_offload_crossover_between_128k_and_320k(self):
         curves = run_figure1b(sequence_lengths_k=[64, 128, 192, 256, 320])

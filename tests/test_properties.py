@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.memory.caching_allocator import CachingAllocator, OutOfMemoryError
 from repro.memory.planned_allocator import PlannedAllocator
 from repro.memory.request import MemoryRequest, RequestKind, peak_live_bytes, validate_trace
-from repro.planner.dsa import problem_from_trace
+from repro.planner.dsa import DSATensor, problem_from_tensors, problem_from_trace
 from repro.planner.exact import solve_exact
 from repro.planner.heuristics import solve_best_fit, solve_first_fit_decreasing
+from repro.planner.plan import MemoryPlan, PlanEntry
 from repro.sim.executor import LayerTask, simulate_iteration
 from repro.swap.alpha import AlphaProblem, solve_alpha
 from repro.train.tensor_ops import layer_norm, layer_norm_backward, softmax
@@ -144,6 +145,111 @@ class TestPlannerInvariants:
         assert set(traced) == set(result.full_plan.entries)
 
 
+@st.composite
+def dsa_tensor_lists(draw, max_tensors=14):
+    """Tensors on a short time axis, so equal starts and touching lifespans abound."""
+    num_tensors = draw(st.integers(min_value=0, max_value=max_tensors))
+    tensors = []
+    for index in range(num_tensors):
+        start = draw(st.integers(min_value=0, max_value=6))
+        length = draw(st.integers(min_value=1, max_value=4))
+        size = draw(st.sampled_from([1, 3, 8, 64, 100, 512]))
+        tensors.append(DSATensor(f"t{index}", size=size, start=start, end=start + length))
+    return draw(st.permutations(tensors))
+
+
+def _pairwise_conflicts(tensors):
+    """Brute-force reference: every pair (in input order) with overlapping lifespans."""
+    return {
+        (a.tensor_id, b.tensor_id)
+        for i, a in enumerate(tensors)
+        for b in tensors[i + 1:]
+        if a.start < b.end and b.start < a.end
+    }
+
+
+def _reference_placement(problem, order, best_fit: bool) -> List[PlanEntry]:
+    """Frozen copy of the original placement: pairwise scan, merge, list gaps."""
+    tensors = {t.tensor_id: t for t in problem.tensors}
+    placed: Dict[str, PlanEntry] = {}
+    result = []
+    for tensor in order:
+        conflicting = [
+            entry for other_id, entry in placed.items()
+            if tensors[other_id].conflicts_with(tensor)
+        ]
+        merged: List[Tuple[int, int]] = []
+        for start, end in sorted((entry.address, entry.end) for entry in conflicting):
+            if merged and start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        gaps: List[Tuple[int, Optional[int]]] = []
+        cursor = 0
+        for start, end in merged:
+            if start - cursor >= tensor.size:
+                gaps.append((cursor, start - cursor))
+            cursor = max(cursor, end)
+        gaps.append((cursor, None))
+        bounded = [gap for gap in gaps if gap[1] is not None]
+        if not best_fit:
+            address = gaps[0][0]
+        elif bounded:
+            address = min(bounded, key=lambda gap: (gap[1], gap[0]))[0]
+        else:
+            address = gaps[-1][0]
+        entry = PlanEntry(tensor.tensor_id, address, tensor.size)
+        placed[tensor.tensor_id] = entry
+        result.append(entry)
+    return result
+
+
+class TestDSAIndexProperties:
+    """The sweep-line conflict build and indexed placement match the references."""
+
+    @given(dsa_tensor_lists())
+    # Equal starts conflict; lifespans that only touch ([0, 2) and [2, 4)) do not.
+    @example([
+        DSATensor("late", 1, 4, 6), DSATensor("a", 1, 0, 2),
+        DSATensor("b", 1, 0, 3), DSATensor("touch", 1, 2, 4),
+    ])
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_conflicts_equal_pairwise_reference(self, tensors):
+        problem = problem_from_tensors(tensors)
+        assert problem.conflicts == frozenset(_pairwise_conflicts(tensors))
+        for a in tensors:
+            for b in tensors:
+                if a is not b:
+                    assert problem.conflicting(a.tensor_id, b.tensor_id) == a.conflicts_with(b)
+
+    @given(dsa_tensor_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_heuristic_plans_equal_reference_placement(self, tensors):
+        problem = problem_from_tensors(tensors)
+        for solver, key, best_fit in (
+            (solve_best_fit, lambda t: (t.start, -t.size, t.tensor_id), True),
+            (solve_first_fit_decreasing, lambda t: (-t.size, t.start, t.tensor_id), False),
+        ):
+            reference = _reference_placement(problem, sorted(tensors, key=key), best_fit)
+            plan = solver(problem)
+            assert list(plan.entries.values()) == reference
+            assert plan.peak_bytes == max((entry.end for entry in reference), default=0)
+
+    @given(dsa_tensor_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_validate_plan_rejects_a_corrupted_overlap(self, tensors, data):
+        problem = problem_from_tensors(tensors)
+        assume(problem.conflicts)
+        plan = solve_best_fit(problem)
+        a, b = data.draw(st.sampled_from(sorted(problem.conflicts)))
+        moved = PlanEntry(a, plan.entries[b].address, plan.entries[a].size)
+        corrupted = MemoryPlan(solver=plan.solver)
+        for entry in plan.entries.values():
+            corrupted.add(moved if entry.tensor_id == a else entry)
+        with pytest.raises(ValueError, match="overlap in the plan"):
+            problem.validate_plan(corrupted)
+
+
 class TestCachingAllocatorProperties:
     @given(malloc_free_traces())
     @settings(max_examples=40, deadline=None)
@@ -170,6 +276,56 @@ class TestCachingAllocatorProperties:
         for index, request in enumerate(trace):
             live += request.size if request.kind is RequestKind.MALLOC else -request.size
             assert allocator.timeline.points[index].allocated_bytes == live
+
+
+    @staticmethod
+    def _assert_totals_match_blocks(allocator):
+        for segment in allocator.segments:
+            assert segment.allocated_bytes == sum(
+                block.size for block in segment.blocks if block.allocated
+            )
+        assert allocator.allocated_bytes == sum(
+            block.size for segment in allocator.segments
+            for block in segment.blocks if block.allocated
+        )
+        assert allocator.reserved_bytes == sum(segment.size for segment in allocator.segments)
+
+    @given(
+        malloc_free_traces(max_tensors=16),
+        st.sampled_from([1, 512]),
+        st.sampled_from([1, 1 << 15]),
+        st.floats(min_value=1.0, max_value=2.0),
+    )
+    # "c" finds no room until the cached segment of "a" is released.
+    @example(
+        [
+            MemoryRequest(RequestKind.MALLOC, "a", 1 << 16),
+            MemoryRequest(RequestKind.MALLOC, "b", 1 << 16),
+            MemoryRequest(RequestKind.FREE, "a", 1 << 16),
+            MemoryRequest(RequestKind.MALLOC, "c", 2 << 16),
+        ],
+        1, 1, 1.0,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_running_totals_equal_recomputed_sums(self, trace, round_to, large, capacity_scale):
+        # Capacity near the live peak forces reorganisations and OOMs; a unit
+        # large-request threshold gives every tensor its own releasable segment.
+        allocator = CachingAllocator(
+            capacity_bytes=int(capacity_scale * peak_live_bytes(trace)) + 1024,
+            round_to_bytes=round_to,
+            large_request_threshold=large,
+            small_segment_bytes=1 << 16,
+        )
+        failed = set()
+        for request in trace:
+            if request.kind is RequestKind.MALLOC:
+                try:
+                    allocator.malloc(request.tensor_id, request.size)
+                except OutOfMemoryError:
+                    failed.add(request.tensor_id)
+            elif request.tensor_id not in failed:
+                allocator.free(request.tensor_id)
+            self._assert_totals_match_blocks(allocator)
 
 
 class TestAlphaProperties:
