@@ -158,12 +158,8 @@ def _counter_deltas(before: Dict[str, object]) -> Dict[str, Tuple[int, int]]:
     }
 
 
-def _search_point(
-    point: WorkloadPoint, search: SearchSettings,
-) -> Tuple[PointOutcome, Dict[str, Dict[tuple, object]]]:
-    """Run one point's strategy search, capturing errors, warnings and the
-    cache entries the search added (the delta shipped back to the parent)."""
-    baseline = fastpath_cache_keys()
+def _search_point(point: WorkloadPoint, search: SearchSettings) -> PointOutcome:
+    """Run one point's strategy search, capturing errors and warnings."""
     counters_before = fastpath_cache_info()
     started = time.perf_counter()
     captured: List[str] = []
@@ -185,7 +181,7 @@ def _search_point(
         warnings=tuple(captured),
         cache_counters=_counter_deltas(counters_before),
     )
-    return outcome, snapshot_fastpath_caches(baseline)
+    return outcome
 
 
 # ---------------------------------------------------------------- worker side
@@ -212,10 +208,15 @@ def _init_worker(cache_path: Optional[str]) -> None:
 def _run_point_task(
     args: Tuple[int, WorkloadPoint, SearchSettings],
 ) -> Tuple[int, PointOutcome, Dict[str, Dict[tuple, object]]]:
-    """Executor task: one point, returning (index, outcome, cache delta)."""
+    """Executor task: one point, returning (index, outcome, cache delta).
+
+    The delta is the cache entries the search added, shipped back for the
+    parent to prime; the in-process serial path has no use for one.
+    """
     index, point, search = args
-    outcome, delta = _search_point(point, search)
-    return index, outcome, delta
+    baseline = fastpath_cache_keys()
+    outcome = _search_point(point, search)
+    return index, outcome, snapshot_fastpath_caches(baseline)
 
 
 # ---------------------------------------------------------------- the driver
@@ -266,7 +267,7 @@ def plan_fleet(
 
     if workers <= 1:
         for index, point in indexed:
-            outcome, _ = _search_point(point, grid.search)
+            outcome = _search_point(point, grid.search)
             collated[index] = outcome
             if progress is not None:
                 progress(outcome)

@@ -56,9 +56,12 @@ Invariants (property-tested like PR 7's):
 
 from __future__ import annotations
 
+import copy
+import functools
 import heapq
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -333,7 +336,12 @@ def failure_rank_rng(seed: int, replica: int, rank: int) -> np.random.Generator:
 
 
 class _RankArrivals:
-    """Lazy per-rank failure arrivals: inter-arrival draws made on demand."""
+    """Lazy per-rank failure arrivals: inter-arrival draws made on demand.
+
+    The only place failure arrivals are drawn.  A rank's stream is a pure
+    function of ``(spec, seed, replica, rank)`` -- never of an iteration time
+    or of how far anything reads it.
+    """
 
     def __init__(self, spec: FailureSpec, rank: int, seed: int, replica: int) -> None:
         self._spec = spec
@@ -379,8 +387,10 @@ def draw_failure_trace(
     Pure function of ``(spec, num_ranks, horizon, seed, replica,
     gpus_per_node)`` -- the same inputs reproduce the same trace bit for bit
     in a fresh process.  Events are returned in time order; simultaneous
-    events merge their rank sets (a correlated failure subsumes the per-rank
-    ones it escalated from).
+    events come failures first, by rank.  The trace is a prefix of the event
+    stream :func:`simulate_time_to_train` walks (and shares its memoized
+    draws): the failures up to ``horizon_s`` and the first
+    ``int(horizon_s / preempt_every_s)`` preemptions.
 
     Args:
         gpus_per_node: node size for correlated failures; overrides the
@@ -393,29 +403,23 @@ def draw_failure_trace(
     if spec.is_null:
         return ()
     node_size = gpus_per_node if gpus_per_node is not None else (spec.gpus_per_node or 8)
-    events: List[FailureEvent] = []
-    if math.isfinite(spec.mtbf_s):
-        for rank in range(num_ranks):
-            arrivals = _RankArrivals(spec, rank, seed, replica)
-            while True:
-                time_s, correlated = arrivals.next_event()
-                if time_s > horizon_s:
-                    break
-                ranks = (
-                    _node_ranks(rank, num_ranks, node_size)
-                    if correlated else (rank,)
-                )
-                events.append(FailureEvent(time_s, ranks, "failure", 0.0))
+    preemptions = 0
+    last_s = horizon_s
     if math.isfinite(spec.preempt_every_s):
-        count = int(horizon_s / spec.preempt_every_s)
-        for index in range(1, count + 1):
-            events.append(FailureEvent(
-                index * spec.preempt_every_s,
-                tuple(range(num_ranks)),
-                "preemption",
-                spec.preempt_notice_s,
-            ))
-    events.sort(key=lambda event: (event.time_s, event.kind))
+        preemptions = int(horizon_s / spec.preempt_every_s)
+        last_s = max(horizon_s, preemptions * spec.preempt_every_s)
+    trace = _LazyTrace(spec, num_ranks, seed, replica, node_size)
+    events: List[FailureEvent] = []
+    taken = 0
+    event = trace.next_event()
+    while event.time_s <= last_s:
+        if event.kind == "preemption":
+            taken += 1
+            if taken <= preemptions:
+                events.append(event)
+        elif event.time_s <= horizon_s:
+            events.append(event)
+        event = trace.next_event()
     return tuple(events)
 
 
@@ -749,12 +753,31 @@ class TimeToTrainDistribution:
         return cls.from_json_dict(json.loads(text))
 
 
-class _LazyTrace:
-    """Merged, lazily-drawn failure arrivals plus preemption instants.
+#: Entries of the arrival-stream memo.  A fleet round reads a handful of
+#: ``(seed, replica)`` streams; the bound matters only to long-lived
+#: processes sweeping many seeds, rank counts or specs.
+_ARRIVAL_MEMO_SIZE = 128
 
-    Feeds :func:`simulate_time_to_train` events in time order without a
-    horizon: per-rank arrival streams are read only as far as the walk
-    advances, and the fixed preemption grid is generated on demand.
+#: Events of one stream kept for sharing.  A walk reading further (a
+#: pathological configuration interrupted thousands of times) continues on a
+#: private copy of the stream that keeps nothing, so the memo holds at most
+#: ``_ARRIVAL_MEMO_SIZE * _SHARED_EVENTS`` events.
+_SHARED_EVENTS = 1024
+
+#: Serialises extending a shared stream across threads.
+_ARRIVAL_LOCK = threading.Lock()
+
+
+class _ArrivalStream:
+    """One replica's merged failure and preemption events, in time order.
+
+    Per-rank arrivals merge by ``(time, rank)`` -- a rank's next arrival
+    joins the merge only once its previous one is taken -- and a failure
+    comes ahead of a preemption at the same instant.  The stream is a pure
+    function of its key, never of an iteration time, so
+    :func:`_arrival_stream` shares one copy between every walk of the
+    process, together with the first :data:`_SHARED_EVENTS` events drawn
+    from it (``events``).
     """
 
     def __init__(
@@ -769,7 +792,7 @@ class _LazyTrace:
         self._num_ranks = num_ranks
         self._gpus_per_node = gpus_per_node
         self._heap: List[Tuple[float, int, int, bool]] = []
-        self._arrivals: List[Optional[_RankArrivals]] = []
+        self._arrivals: List[_RankArrivals] = []
         if math.isfinite(spec.mtbf_s):
             for rank in range(num_ranks):
                 arrivals = _RankArrivals(spec, rank, seed, replica)
@@ -777,9 +800,10 @@ class _LazyTrace:
                 time_s, correlated = arrivals.next_event()
                 heapq.heappush(self._heap, (time_s, 0, rank, correlated))
         self._next_preempt_index = 1
+        self.events: List[FailureEvent] = []
 
-    def next_event(self) -> FailureEvent:
-        """The next interruption strictly after the previous one returned."""
+    def draw(self) -> FailureEvent:
+        """Take the next interruption off the merge (``events`` untouched)."""
         preempt_time = (
             self._next_preempt_index * self._spec.preempt_every_s
             if math.isfinite(self._spec.preempt_every_s) else math.inf
@@ -799,6 +823,72 @@ class _LazyTrace:
             preempt_time, tuple(range(self._num_ranks)), "preemption",
             self._spec.preempt_notice_s,
         )
+
+    def fork(self) -> "_ArrivalStream":
+        """A private copy of the merge state (generators included), with no
+        events: it continues the stream from where this one stands."""
+        tail = copy.copy(self)
+        tail._arrivals = copy.deepcopy(self._arrivals)
+        tail._heap = list(self._heap)
+        tail.events = []
+        return tail
+
+
+@functools.lru_cache(maxsize=_ARRIVAL_MEMO_SIZE)
+def _arrival_stream(
+    spec: FailureSpec, num_ranks: int, seed: int, replica: int, gpus_per_node: int,
+) -> _ArrivalStream:
+    """The process-wide merged event stream of one replica."""
+    return _ArrivalStream(spec, num_ranks, seed, replica, gpus_per_node)
+
+
+def clear_failure_arrival_memo() -> None:
+    """Drop every memoized arrival stream (``clear_fastpath_caches`` runs it)."""
+    _arrival_stream.cache_clear()
+
+
+class _LazyTrace:
+    """A walk's cursor over one replica's shared :class:`_ArrivalStream`.
+
+    Feeds :func:`simulate_time_to_train` events in time order without a
+    horizon: the shared events are extended only when a cursor reads past
+    their end, so every walk of the same replica reuses the same draws.  Past
+    :data:`_SHARED_EVENTS` the cursor draws from a private fork instead.
+    """
+
+    def __init__(
+        self,
+        spec: FailureSpec,
+        num_ranks: int,
+        seed: int,
+        replica: int,
+        gpus_per_node: int,
+    ) -> None:
+        self._stream = _arrival_stream(spec, num_ranks, seed, replica, gpus_per_node)
+        self._events = self._stream.events
+        self._position = 0
+        self._tail: Optional[_ArrivalStream] = None
+
+    def next_event(self) -> FailureEvent:
+        """The next interruption strictly after the previous one returned."""
+        position = self._position
+        events = self._events
+        if position < len(events):
+            self._position = position + 1
+            return events[position]
+        if position < _SHARED_EVENTS:
+            # Another thread may extend the same stream between the length
+            # check and the append.
+            with _ARRIVAL_LOCK:
+                while len(events) <= position:
+                    events.append(self._stream.draw())
+            self._position = position + 1
+            return events[position]
+        if self._tail is None:
+            # The shared stream never draws past _SHARED_EVENTS, so its
+            # merge state is final here.
+            self._tail = self._stream.fork()
+        return self._tail.draw()
 
 
 def simulate_time_to_train(
@@ -851,9 +941,17 @@ def simulate_time_to_train(
     :class:`~repro.sim.fastpath.ScheduleProgram`
     (:func:`repro.sim.stochastic.monte_carlo_timeline` stacks all replicas
     into :func:`~repro.sim.fastpath.critical_path_timeline_batch` calls);
-    the walk itself stays per replica -- its arrival streams are
-    data-dependent (each interruption reshapes the rest of the walk), so
-    there is no fixed instruction trace to batch.
+    the walk itself stays per replica -- each interruption reshapes the rest
+    of the walk, so there is no fixed instruction trace to batch.  What is
+    shared is the arrival stream: replica ``r``'s events depend only on
+    ``(spec, num_ranks, seed, r, gpus_per_node)``, never on the iteration
+    time, so every walk in the process reads one memoized copy of it
+    (:func:`repro.sim.fastpath.clear_fastpath_caches` drops it).  Between
+    events the walk fast-forwards whole checkpoint segments in a tight loop
+    that keeps the per-segment float order
+    (``end = (start + interval * slowdown) + write``, ``durable +=
+    interval``), so the samples are the segment-by-segment walk's, bit for
+    bit.
 
     Variance-aware budgeting: with ``ci_halfwidth`` set, the walk stops
     adding replicas once at least ``min_replicas`` are in and the
@@ -932,6 +1030,9 @@ def simulate_time_to_train(
     # every interruption instant, nothing is ever replayed, only the
     # recovery itself is paid -- instead of stepping zero-length segments.
     continuous = interval == 0.0
+    # Whether work is cut into checkpoint segments at all: a free write is
+    # continuous, an infinite interval never checkpoints before the end.
+    segmented = not continuous and not math.isinf(interval)
     min_ranks = max(int(math.ceil(recovery.min_rank_fraction * num_ranks)), 1)
     samples: List[float] = []
     counts: List[int] = []
@@ -947,83 +1048,92 @@ def simulate_time_to_train(
         dead: set = set()    # ranks removed during elastic continuation
         interruptions = 0
         event = trace.next_event()
+        # One pass per work segment that completes or meets an event: the
+        # segment runs from segment_start until the next checkpoint write
+        # completes or the job finishes, whichever is first.
         while durable < target_work and clock < cap:
             slowdown = num_ranks / surviving
-            # Wall time until the job finishes or the next checkpoint
-            # completes, whichever is first, measured from segment_start.
             remaining = target_work - durable
-            if continuous or remaining <= interval or math.isinf(interval):
-                segment_end = segment_start + remaining * slowdown
-                segment_durable = remaining
-            else:
-                segment_end = segment_start + interval * slowdown + write
-                segment_durable = interval
-            while event.time_s < segment_end:
-                lost_event = event
-                event = trace.next_event()
-                newly_dead = [
-                    r for r in lost_event.ranks if r < num_ranks and r not in dead
-                ]
-                if lost_event.kind == "failure" and not newly_dead:
-                    # Every rank in the event already failed during this
-                    # elastic continuation: the dead cannot fail again, the
-                    # job continues undisturbed.
+            if segmented and remaining > interval:
+                # A checkpoint segment: interval of work, then the write.
+                step = interval * slowdown
+                segment_end = segment_start + step + write
+                event_time = event.time_s
+                if event_time >= segment_end:
+                    # Fast-forward: complete checkpoint segments one at a
+                    # time, in the float order above, while they end before
+                    # the next event, the cap is not reached and the next
+                    # one is not the last (durable >= target_work implies
+                    # remaining <= interval).  The loop above takes over at
+                    # the first segment that differs.
+                    while True:
+                        durable += interval
+                        if target_work - durable <= interval or segment_end >= cap:
+                            break
+                        next_end = segment_end + step + write
+                        if event_time < next_end:
+                            break
+                        segment_end = next_end
+                    clock = segment_start = segment_end
                     continue
-                interruptions += 1
-                # Work accrued in this segment since segment_start (work
-                # precedes the checkpoint write, so it accrues at 1/slowdown
-                # up to the segment's durable amount).
-                busy = max(lost_event.time_s - segment_start, 0.0)
-                worked = min(busy / slowdown, segment_durable)
-                if continuous or (
-                    lost_event.kind == "preemption" and lost_event.notice_s >= write
-                ):
-                    # Proactive checkpoint inside the notice window (or free
-                    # continuous checkpointing): the progress at the
-                    # interruption instant is durable.
-                    durable = min(durable + worked, target_work)
-                # Failures (and short-notice preemptions) lose the segment.
-                if (
-                    recovery.elastic
-                    and lost_event.kind == "failure"
-                    and surviving - len(newly_dead) >= min_ranks
-                ):
-                    # Elastic continuation: the surviving ranks restore the
-                    # last checkpoint and keep going at degraded throughput
-                    # without waiting out the restart overhead (there is no
-                    # replacement to wait for).  Only ranks not already dead
-                    # shrink the job -- a correlated set overlapping earlier
-                    # casualties must not double-count attrition.
-                    dead.update(newly_dead)
-                    surviving = num_ranks - len(dead)
-                    clock = lost_event.time_s
-                else:
-                    surviving = num_ranks
-                    dead.clear()
-                    clock = lost_event.time_s + restart
-                slowdown = num_ranks / surviving
-                segment_start = clock
-                # Skip events that fired inside the restart gap: the job is
-                # not running, there is nothing to interrupt.
-                while event.time_s < segment_start:
-                    event = trace.next_event()
-                remaining = target_work - durable
-                if continuous or remaining <= interval or math.isinf(interval):
-                    segment_end = segment_start + remaining * slowdown
-                    segment_durable = remaining
-                else:
-                    segment_end = segment_start + interval * slowdown + write
-                    segment_durable = interval
-                if clock >= cap or durable >= target_work:
-                    break
+                segment_durable = interval
             else:
-                # Segment completed: its work is durable (checkpoint written
-                # or the job finished).
-                durable += segment_durable
-                clock = segment_end
-                segment_start = segment_end
+                # The last segment (all of the work when unsegmented): the
+                # remaining work, no write.
+                segment_end = segment_start + remaining * slowdown
+                if event.time_s >= segment_end:
+                    durable += remaining
+                    clock = segment_start = segment_end
+                    continue
+                segment_durable = remaining
+            # The next event interrupts this segment.
+            lost_event = event
+            event = trace.next_event()
+            newly_dead = [
+                r for r in lost_event.ranks if r < num_ranks and r not in dead
+            ]
+            if lost_event.kind == "failure" and not newly_dead:
+                # Every rank in the event already failed during this
+                # elastic continuation: the dead cannot fail again, the
+                # job continues undisturbed.
                 continue
-            # Inner break: re-enter the outer loop's guard.
+            interruptions += 1
+            # Work accrued in this segment since segment_start (work
+            # precedes the checkpoint write, so it accrues at 1/slowdown
+            # up to the segment's durable amount).
+            busy = max(lost_event.time_s - segment_start, 0.0)
+            worked = min(busy / slowdown, segment_durable)
+            if continuous or (
+                lost_event.kind == "preemption" and lost_event.notice_s >= write
+            ):
+                # Proactive checkpoint inside the notice window (or free
+                # continuous checkpointing): the progress at the
+                # interruption instant is durable.
+                durable = min(durable + worked, target_work)
+            # Failures (and short-notice preemptions) lose the segment.
+            if (
+                recovery.elastic
+                and lost_event.kind == "failure"
+                and surviving - len(newly_dead) >= min_ranks
+            ):
+                # Elastic continuation: the surviving ranks restore the
+                # last checkpoint and keep going at degraded throughput
+                # without waiting out the restart overhead (there is no
+                # replacement to wait for).  Only ranks not already dead
+                # shrink the job -- a correlated set overlapping earlier
+                # casualties must not double-count attrition.
+                dead.update(newly_dead)
+                surviving = num_ranks - len(dead)
+                clock = lost_event.time_s
+            else:
+                surviving = num_ranks
+                dead.clear()
+                clock = lost_event.time_s + restart
+            segment_start = clock
+            # Skip events that fired inside the restart gap: the job is
+            # not running, there is nothing to interrupt.
+            while event.time_s < segment_start:
+                event = trace.next_event()
         samples.append(min(clock, cap))
         counts.append(interruptions)
         if _stop_early(samples):

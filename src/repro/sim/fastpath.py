@@ -1154,6 +1154,9 @@ def fastpath_cache_info() -> Dict[str, object]:
 def clear_fastpath_caches() -> None:
     """Drop all memoized schedules, timelines and programs (tests, benches).
 
+    The failure walk's arrival memo goes too, so a cleared process redraws
+    every failure trace exactly as a fresh one would.
+
     Also advances the cache generation: schedules returned before the clear
     keep their ``_canonical`` marker but their generation stamp is retired,
     so :func:`evaluate_schedule` stops routing them through the (refilled)
@@ -1162,11 +1165,13 @@ def clear_fastpath_caches() -> None:
     alias instances from a dead generation.
     """
     from repro.sim.costs import clear_stage_profile_store
+    from repro.sim.failures import clear_failure_arrival_memo
 
     cached_build_schedule.cache_clear()  # bumps the generation
     _cached_fast_timeline.cache_clear()
     _cached_schedule_program.cache_clear()
     clear_stage_profile_store()
+    clear_failure_arrival_memo()
 
 
 # --------------------------------------------------------------------------

@@ -16,19 +16,26 @@ exactly, not approximately:
 * **argmax invariance** -- bound pruning and sequential stopping never
   change the schedule a search selects on an exhaustive lattice;
 * **Young/Daly** -- the closed-form checkpoint interval is (near) optimal
-  against the simulated walk on an interval grid.
+  against the simulated walk on an interval grid;
+* **shared draws change nothing** -- walks reading memoized arrival
+  streams and fast-forwarding checkpoint segments reproduce a frozen copy
+  of the per-walk, segment-by-segment walk sample for sample.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.config import tokens
 from repro.parallel.search import SearchStats, best_pipeline_schedule
@@ -42,6 +49,10 @@ from repro.sim.failures import (
     FailureSpec,
     RecoveryModel,
     TimeToTrainDistribution,
+    _SHARED_EVENTS,
+    _LazyTrace,
+    _arrival_stream,
+    clear_failure_arrival_memo,
     draw_failure_trace,
     optimal_checkpoint_interval,
     parse_failure_spec,
@@ -50,9 +61,18 @@ from repro.sim.failures import (
     simulate_time_to_train,
     ttrain_objective_base,
 )
+from repro.sim.fastpath import (
+    clear_fastpath_caches,
+    fastpath_cache_info,
+    snapshot_fastpath_caches,
+)
 from repro.sim.pipeline import StageCosts
 from repro.sim.schedules import ScheduleKind, build_schedule
-from repro.sim.stochastic import JitterSpec
+from repro.sim.stochastic import (
+    MIN_SEQUENTIAL_REPLICAS,
+    JitterSpec,
+    distribution_ci_halfwidth,
+)
 from repro.systems.base import Workload
 from repro.systems.memo import MemoSystem
 
@@ -678,3 +698,458 @@ class TestSystemNullFailureIdentity:
         assert report.time_to_train.expected_slowdown >= 1.0
         assert report.iteration_time_s >= base.iteration_time_s
         assert any("failure process" in note for note in report.notes)
+
+
+# ------------------------------------------- shared draws and fast-forward
+#
+# Frozen copy of the failure walk as it was before arrival streams were
+# memoized and uninterrupted checkpoint segments fast-forwarded: every rank
+# stream redrawn per walk, a heap merge per trace, one outer-loop pass per
+# segment.  The property tests below hold the current walk to it exactly.
+
+class _FrozenRankArrivals:
+    def __init__(self, spec, rank, seed, replica):
+        self._spec = spec
+        self._rng = np.random.default_rng([0x46414C, seed, replica, rank])
+        self._time = 0.0
+        if spec.process == "weibull":
+            self._scale = spec.mtbf_s / math.gamma(1.0 + 1.0 / spec.weibull_shape)
+        else:
+            self._scale = spec.mtbf_s
+
+    def next_event(self):
+        if self._spec.process == "weibull":
+            interval = self._scale * float(self._rng.weibull(self._spec.weibull_shape))
+        else:
+            interval = float(self._rng.exponential(self._scale))
+        self._time += interval
+        correlated = bool(self._rng.random() < self._spec.correlated_prob)
+        return self._time, correlated
+
+
+def _frozen_node_ranks(rank, num_ranks, gpus_per_node):
+    first = (rank // gpus_per_node) * gpus_per_node
+    return tuple(range(first, min(first + gpus_per_node, num_ranks)))
+
+
+class _FrozenLazyTrace:
+    def __init__(self, spec, num_ranks, seed, replica, gpus_per_node):
+        self._spec = spec
+        self._num_ranks = num_ranks
+        self._gpus_per_node = gpus_per_node
+        self._heap = []
+        self._arrivals = []
+        if math.isfinite(spec.mtbf_s):
+            for rank in range(num_ranks):
+                arrivals = _FrozenRankArrivals(spec, rank, seed, replica)
+                self._arrivals.append(arrivals)
+                time_s, correlated = arrivals.next_event()
+                heapq.heappush(self._heap, (time_s, 0, rank, correlated))
+        self._next_preempt_index = 1
+
+    def next_event(self):
+        preempt_time = (
+            self._next_preempt_index * self._spec.preempt_every_s
+            if math.isfinite(self._spec.preempt_every_s) else math.inf
+        )
+        if self._heap and self._heap[0][0] <= preempt_time:
+            time_s, _, rank, correlated = heapq.heappop(self._heap)
+            refill, refill_corr = self._arrivals[rank].next_event()
+            heapq.heappush(self._heap, (refill, 0, rank, refill_corr))
+            ranks = (
+                _frozen_node_ranks(rank, self._num_ranks, self._gpus_per_node)
+                if correlated else (rank,)
+            )
+            return FailureEvent(time_s, ranks, "failure", 0.0)
+        self._next_preempt_index += 1
+        return FailureEvent(
+            preempt_time, tuple(range(self._num_ranks)), "preemption",
+            self._spec.preempt_notice_s,
+        )
+
+
+def _frozen_time_to_train(iteration_time_s, target_iterations, spec, recovery,
+                          num_ranks=1, replicas=16, seed=0, gpus_per_node=None,
+                          ci_halfwidth=None, objective="ttrain_mean",
+                          min_replicas=MIN_SEQUENTIAL_REPLICAS):
+    """``(samples, failure_counts)`` of the frozen walk."""
+    if isinstance(iteration_time_s, (int, float)):
+        per_replica = [float(iteration_time_s)]
+    else:
+        per_replica = [float(value) for value in iteration_time_s]
+    node_size = gpus_per_node if gpus_per_node is not None else (spec.gpus_per_node or 8)
+    interval = recovery.interval_for(spec, num_ranks)
+
+    def _stop_early(samples):
+        return (
+            ci_halfwidth is not None
+            and len(samples) >= min_replicas
+            and len(samples) < replicas
+            and distribution_ci_halfwidth(samples, objective) / target_iterations
+            <= ci_halfwidth
+        )
+
+    if spec.is_null:
+        null_samples = []
+        for replica in range(replicas):
+            null_samples.append(
+                target_iterations * per_replica[replica % len(per_replica)])
+            if _stop_early(null_samples):
+                break
+        return tuple(null_samples), (0,) * len(null_samples)
+
+    write = recovery.checkpoint_write_s
+    restart = recovery.restart_overhead_s
+    continuous = interval == 0.0
+    min_ranks = max(int(math.ceil(recovery.min_rank_fraction * num_ranks)), 1)
+    samples, counts = [], []
+    for replica in range(replicas):
+        iter_s = per_replica[replica % len(per_replica)]
+        target_work = target_iterations * iter_s
+        cap = max(target_work, 1e-12) * MAX_SLOWDOWN
+        trace = _FrozenLazyTrace(spec, num_ranks, seed, replica, node_size)
+        clock = durable = segment_start = 0.0
+        surviving = num_ranks
+        dead = set()
+        interruptions = 0
+        event = trace.next_event()
+        while durable < target_work and clock < cap:
+            slowdown = num_ranks / surviving
+            remaining = target_work - durable
+            if continuous or remaining <= interval or math.isinf(interval):
+                segment_end = segment_start + remaining * slowdown
+                segment_durable = remaining
+            else:
+                segment_end = segment_start + interval * slowdown + write
+                segment_durable = interval
+            while event.time_s < segment_end:
+                lost_event = event
+                event = trace.next_event()
+                newly_dead = [
+                    r for r in lost_event.ranks if r < num_ranks and r not in dead
+                ]
+                if lost_event.kind == "failure" and not newly_dead:
+                    continue
+                interruptions += 1
+                busy = max(lost_event.time_s - segment_start, 0.0)
+                worked = min(busy / slowdown, segment_durable)
+                if continuous or (
+                    lost_event.kind == "preemption" and lost_event.notice_s >= write
+                ):
+                    durable = min(durable + worked, target_work)
+                if (
+                    recovery.elastic
+                    and lost_event.kind == "failure"
+                    and surviving - len(newly_dead) >= min_ranks
+                ):
+                    dead.update(newly_dead)
+                    surviving = num_ranks - len(dead)
+                    clock = lost_event.time_s
+                else:
+                    surviving = num_ranks
+                    dead.clear()
+                    clock = lost_event.time_s + restart
+                slowdown = num_ranks / surviving
+                segment_start = clock
+                while event.time_s < segment_start:
+                    event = trace.next_event()
+                remaining = target_work - durable
+                if continuous or remaining <= interval or math.isinf(interval):
+                    segment_end = segment_start + remaining * slowdown
+                    segment_durable = remaining
+                else:
+                    segment_end = segment_start + interval * slowdown + write
+                    segment_durable = interval
+                if clock >= cap or durable >= target_work:
+                    break
+            else:
+                durable += segment_durable
+                clock = segment_end
+                segment_start = segment_end
+                continue
+        samples.append(min(clock, cap))
+        counts.append(interruptions)
+        if _stop_early(samples):
+            break
+    return tuple(samples), tuple(counts)
+
+
+_SPECS = st.builds(
+    FailureSpec,
+    mtbf_s=st.one_of(st.just(math.inf), st.floats(2000.0, 50000.0)),
+    process=st.sampled_from(["poisson", "weibull"]),
+    weibull_shape=st.floats(0.5, 2.0),
+    correlated_prob=st.sampled_from([0.0, 0.3, 1.0]),
+    gpus_per_node=st.one_of(st.none(), st.integers(1, 4)),
+    preempt_every_s=st.one_of(st.just(math.inf), st.floats(1000.0, 20000.0)),
+    preempt_notice_s=st.sampled_from([0.0, 5.0, 60.0]),
+)
+
+_RECOVERIES = st.builds(
+    RecoveryModel,
+    checkpoint_write_s=st.sampled_from([0.0, 5.0, 30.0]),
+    restart_overhead_s=st.floats(0.0, 200.0),
+    checkpoint_interval_s=st.one_of(st.none(), st.floats(5.0, 300.0)),
+    elastic=st.booleans(),
+    min_rank_fraction=st.sampled_from([0.25, 0.5, 1.0]),
+)
+
+_ITERATION_TIMES = st.one_of(
+    st.floats(0.5, 3.0),
+    st.lists(st.floats(0.5, 3.0), min_size=1, max_size=3),
+)
+
+
+class TestWalkEquivalence:
+    """The walk reads shared, memoized arrival streams and fast-forwards
+    uninterrupted checkpoint segments; neither may change a bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=_SPECS, recovery=_RECOVERIES, iteration_time=_ITERATION_TIMES,
+        target=st.integers(1, 3000), num_ranks=st.integers(1, 6),
+        replicas=st.integers(1, 12), seed=st.integers(0, 3),
+        ci_halfwidth=st.one_of(st.none(), st.floats(0.001, 1.0)),
+        objective=st.sampled_from(TTRAIN_OBJECTIVES),
+    )
+    # A free write: interval 0, the continuous-checkpointing limit.
+    @example(spec=FailureSpec(mtbf_s=3000.0, correlated_prob=0.3),
+             recovery=RecoveryModel(checkpoint_write_s=0.0, restart_overhead_s=50.0),
+             iteration_time=1.0, target=300, num_ranks=4, replicas=8, seed=0,
+             ci_halfwidth=None, objective="ttrain_mean")
+    # An infinite interval: no checkpoint before the end of the job, and a
+    # preemption exactly at that end (600 s of work).
+    @example(spec=FailureSpec(preempt_every_s=600.0),
+             recovery=RecoveryModel(checkpoint_write_s=5.0, restart_overhead_s=20.0,
+                                    checkpoint_interval_s=math.inf),
+             iteration_time=2.0, target=300, num_ranks=3, replicas=2, seed=1,
+             ci_halfwidth=None, objective="ttrain_p99")
+    # Preemptions land exactly on segment ends (50 s of work + a 50 s write):
+    # the first segment from a restart, a fast-forwarded one, and then the
+    # remaining work equals the interval, so the job ends without a write.
+    @example(spec=FailureSpec(preempt_every_s=1000.0),
+             recovery=RecoveryModel(checkpoint_write_s=50.0, restart_overhead_s=0.0,
+                                    checkpoint_interval_s=50.0),
+             iteration_time=1.0, target=600, num_ranks=2, replicas=2, seed=0,
+             ci_halfwidth=None, objective="ttrain_mean")
+    # Every preemption lands on the end of the first segment after the
+    # previous one (80 s of work + a 20 s write, no restart gap).
+    @example(spec=FailureSpec(preempt_every_s=100.0),
+             recovery=RecoveryModel(checkpoint_write_s=20.0, restart_overhead_s=0.0,
+                                    checkpoint_interval_s=80.0),
+             iteration_time=1.0, target=250, num_ranks=2, replicas=2, seed=0,
+             ci_halfwidth=None, objective="ttrain_mean")
+    def test_walk_matches_the_frozen_walk(self, spec, recovery, iteration_time,
+                                          target, num_ranks, replicas, seed,
+                                          ci_halfwidth, objective):
+        kwargs = dict(num_ranks=num_ranks, replicas=replicas, seed=seed,
+                      ci_halfwidth=ci_halfwidth, objective=objective)
+        expected = _frozen_time_to_train(iteration_time, target, spec, recovery,
+                                         **kwargs)
+        # Cold memo, then again warm: shared draws must not change a bit.
+        clear_failure_arrival_memo()
+        for _ in range(2):
+            dist = simulate_time_to_train(iteration_time, target, spec, recovery,
+                                          **kwargs)
+            assert (dist.samples, dist.failure_counts) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_SPECS, num_ranks=st.integers(1, 6), seed=st.integers(0, 3),
+           replica=st.integers(0, 7), gpus_per_node=st.integers(1, 4))
+    def test_trace_cursor_matches_the_frozen_merge(self, spec, num_ranks, seed,
+                                                   replica, gpus_per_node):
+        """Event for event, ties included, the cursor over the shared stream
+        replays the frozen per-walk heap merge."""
+        assume(not spec.is_null)
+        frozen = _FrozenLazyTrace(spec, num_ranks, seed, replica, gpus_per_node)
+        cursor = _LazyTrace(spec, num_ranks, seed, replica, gpus_per_node)
+        for _ in range(40):
+            assert cursor.next_event() == frozen.next_event()
+
+
+class _ScriptedRankArrivals:
+    def __init__(self, times):
+        self._times = list(times)
+
+    def next_event(self):
+        return (self._times.pop(0) if self._times else math.inf), False
+
+
+def _frozen_draw_failure_trace(spec, num_ranks, horizon_s, seed, replica, node_size):
+    events = []
+    if math.isfinite(spec.mtbf_s):
+        for rank in range(num_ranks):
+            arrivals = _FrozenRankArrivals(spec, rank, seed, replica)
+            while True:
+                time_s, correlated = arrivals.next_event()
+                if time_s > horizon_s:
+                    break
+                ranks = (_frozen_node_ranks(rank, num_ranks, node_size)
+                         if correlated else (rank,))
+                events.append(FailureEvent(time_s, ranks, "failure", 0.0))
+    if math.isfinite(spec.preempt_every_s):
+        count = int(horizon_s / spec.preempt_every_s)
+        for index in range(1, count + 1):
+            events.append(FailureEvent(index * spec.preempt_every_s,
+                                       tuple(range(num_ranks)), "preemption",
+                                       spec.preempt_notice_s))
+    events.sort(key=lambda event: (event.time_s, event.kind))
+    return tuple(events)
+
+
+class TestSharedArrivalDraws:
+    def test_merge_order_on_exact_ties(self, monkeypatch):
+        """Same-instant failures come out by rank, and a failure comes out
+        ahead of a preemption at the same instant."""
+        import repro.sim.failures as failures_mod
+
+        scripted = {0: [100.0, 250.0], 1: [100.0, 200.0]}
+        monkeypatch.setattr(
+            failures_mod, "_RankArrivals",
+            lambda spec, rank, seed, replica: _ScriptedRankArrivals(scripted[rank]),
+        )
+        clear_failure_arrival_memo()
+        spec = FailureSpec(mtbf_s=1000.0, preempt_every_s=200.0)
+        trace = _LazyTrace(spec, 2, 0, 0, 8)
+        events = [trace.next_event() for _ in range(5)]
+        clear_failure_arrival_memo()
+        assert [(e.time_s, e.ranks, e.kind) for e in events] == [
+            (100.0, (0,), "failure"),
+            (100.0, (1,), "failure"),
+            (200.0, (1,), "failure"),
+            (200.0, (0, 1), "preemption"),
+            (250.0, (0,), "failure"),
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_SPECS, num_ranks=st.integers(1, 6), seed=st.integers(0, 3),
+           replica=st.integers(0, 7), horizon=st.floats(0.0, 60000.0),
+           node=st.integers(1, 4))
+    @example(spec=FailureSpec(mtbf_s=3000.0, preempt_every_s=1000.0), num_ranks=2,
+             seed=0, replica=0, horizon=5000.0, node=2)
+    # Float edges of the preemption count: the horizon is 3 * every, but
+    # int(horizon / every) == 2 ...
+    @example(spec=FailureSpec(mtbf_s=20000.0, preempt_every_s=12836.293463920065),
+             num_ranks=2, seed=0, replica=0, horizon=38508.88039176019, node=2)
+    # ... and the horizon is just below 38 * every, yet int(horizon / every)
+    # == 38.
+    @example(spec=FailureSpec(mtbf_s=50000.0, preempt_every_s=12529.23293917592),
+             num_ranks=2, seed=0, replica=0, horizon=476110.8516886849, node=2)
+    def test_draw_failure_trace_matches_the_frozen_trace(self, spec, num_ranks, seed,
+                                                         replica, horizon, node):
+        """Drawn from the shared stream, the trace is the frozen sorted
+        per-rank draw, event for event (a horizon on the preemption grid
+        keeps its last preemption)."""
+        clear_failure_arrival_memo()
+        assert draw_failure_trace(spec, num_ranks, horizon, seed, replica, node) == \
+            _frozen_draw_failure_trace(spec, num_ranks, horizon, seed, replica, node)
+
+    def test_horizon_is_inclusive(self):
+        spec = FailureSpec(mtbf_s=2000.0, correlated_prob=0.3)
+        times = [event.time_s for event in draw_failure_trace(spec, 4, 20000.0, 3)]
+        assert len(times) > 5
+        clear_failure_arrival_memo()
+        trace = draw_failure_trace(spec, 4, times[4], 3)
+        assert len(trace) == 5 and trace[-1].time_s == times[4]
+        assert trace == _frozen_draw_failure_trace(spec, 4, times[4], 3, 0, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_SPECS, num_ranks=st.integers(1, 6), seed=st.integers(0, 3),
+           replica=st.integers(0, 7), horizon=st.floats(0.0, 60000.0),
+           trace_first=st.booleans())
+    def test_memoized_trace_equals_draw_failure_trace(self, spec, num_ranks, seed,
+                                                      replica, horizon, trace_first):
+        """The walk's trace read up to a horizon is the drawn trace, event
+        for event, whichever of the two reads the shared stream first."""
+        assume(not spec.is_null)
+        node = spec.gpus_per_node or 8
+        clear_failure_arrival_memo()
+        drawn = None
+        if not trace_first:
+            drawn = draw_failure_trace(spec, num_ranks, horizon, seed, replica)
+        trace = _LazyTrace(spec, num_ranks, seed, replica, node)
+        walked = []
+        event = trace.next_event()
+        while event.time_s <= horizon:
+            walked.append(event)
+            event = trace.next_event()
+        if drawn is None:
+            drawn = draw_failure_trace(spec, num_ranks, horizon, seed, replica)
+        assert tuple(walked) == drawn
+
+    @staticmethod
+    def _read(spec, num_ranks, seed, replica, node, count):
+        trace = _LazyTrace(spec, num_ranks, seed, replica, node)
+        return [trace.next_event() for _ in range(count)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_SPECS, num_ranks=st.integers(1, 6), seed=st.integers(0, 3),
+           replica=st.integers(0, 7), shallow=st.integers(1, 20),
+           deep=st.integers(1, 60))
+    def test_reads_in_either_order_give_identical_prefixes(self, spec, num_ranks,
+                                                           seed, replica,
+                                                           shallow, deep):
+        assume(not spec.is_null)
+        node = spec.gpus_per_node or 8
+        args = (spec, num_ranks, seed, replica, node)
+        clear_failure_arrival_memo()
+        short_first = self._read(*args, shallow)
+        long_second = self._read(*args, deep)
+        clear_failure_arrival_memo()
+        long_first = self._read(*args, deep)
+        short_second = self._read(*args, shallow)
+        assert long_first == long_second
+        assert short_first == short_second
+        common = min(shallow, deep)
+        assert short_first[:common] == long_first[:common]
+
+    def test_reading_past_the_shared_prefix_continues_the_stream(self):
+        """A stream keeps at most _SHARED_EVENTS events; cursors reading
+        further continue on private forks that replay the frozen stream."""
+        spec = FailureSpec(mtbf_s=100.0, correlated_prob=0.3)
+        clear_failure_arrival_memo()
+        depth = _SHARED_EVENTS + 300
+        frozen = _FrozenLazyTrace(spec, 3, 1, 2, 2)
+        expected = [frozen.next_event() for _ in range(depth)]
+        assert self._read(spec, 3, 1, 2, 2, depth) == expected
+        assert self._read(spec, 3, 1, 2, 2, depth) == expected
+        assert len(_arrival_stream(spec, 3, 1, 2, 2).events) == _SHARED_EVENTS
+
+    def test_threads_sharing_streams_walk_like_the_frozen_walk(self):
+        """Threads walking the same replicas at once extend the same shared
+        streams; every walk must still read each event once, in order."""
+        spec = FailureSpec(mtbf_s=500.0, correlated_prob=0.3, preempt_every_s=3000.0)
+        recovery = RecoveryModel(checkpoint_write_s=5.0, restart_overhead_s=20.0)
+        args = (1.0, 2000, spec, recovery)
+        kwargs = dict(num_ranks=4, replicas=8, seed=9)
+        expected = _frozen_time_to_train(*args, **kwargs)
+        clear_failure_arrival_memo()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(simulate_time_to_train, *args, **kwargs)
+                           for _ in range(16)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        for dist in results:
+            assert (dist.samples, dist.failure_counts) == expected
+
+    def test_clear_fastpath_caches_clears_the_arrival_memo(self):
+        simulate_time_to_train(2.0, 200, SPEC, RECOVERY, num_ranks=4,
+                               replicas=4, seed=5)
+        assert _arrival_stream.cache_info().currsize > 0
+        clear_fastpath_caches()
+        assert _arrival_stream.cache_info().currsize == 0
+
+    def test_memo_stays_out_of_cache_accounting_and_payload(self):
+        """Fleet rows' cache counters and the disk payload cover only the
+        fast-path layers; arrival streams are never reported or persisted."""
+        clear_fastpath_caches()
+        simulate_time_to_train(2.0, 200, SPEC, RECOVERY, num_ranks=4,
+                               replicas=4, seed=5)
+        assert set(fastpath_cache_info()) == {"schedules", "timelines", "programs"}
+        snapshot = snapshot_fastpath_caches()
+        assert set(snapshot) == {"schedules", "programs", "timelines", "stage_profiles"}
+        assert all(not entries for entries in snapshot.values())

@@ -207,6 +207,35 @@ class TestFleetBitIdentity:
         row = bad_outcome.to_json_dict()
         assert row["ok"] is False and row["strategy"] is None
 
+    def test_serial_path_builds_no_cache_deltas(self, tmp_path, monkeypatch):
+        """Only worker tasks ship cache deltas: the in-process serial path
+        never scans the caches for a point.  With the disk cache the
+        invocation itself counts resident entries twice (after the load and
+        before the save), however many points the grid has."""
+        import repro.fleet.planner as planner_mod
+
+        calls = {"fastpath_cache_keys": 0, "snapshot_fastpath_caches": 0}
+
+        def counting(name):
+            original = getattr(planner_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(planner_mod, name, counting(name))
+
+        grid = small_grid()
+        report = plan_fleet(grid, workers=1, use_disk_cache=False)
+        assert all(outcome.ok for outcome in report.outcomes)
+        assert calls == {"fastpath_cache_keys": 0, "snapshot_fastpath_caches": 0}
+
+        report = plan_fleet(grid, workers=1, cache_dir=tmp_path)
+        assert len(report.outcomes) == 2
+        assert calls == {"fastpath_cache_keys": 2, "snapshot_fastpath_caches": 0}
+
     def test_workers_must_be_non_negative(self):
         with pytest.raises(ValueError):
             plan_fleet(small_grid(), workers=-1)
