@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
-@dataclass
+@dataclass(order=True)
 class Block:
     """A contiguous region inside a segment.
 
     A block is either allocated (backing one tensor) or free (available for
-    reuse).  Free neighbouring blocks can be coalesced.
+    reuse).  Free neighbouring blocks can be coalesced.  Blocks order by
+    offset first, so a segment's offset-sorted block list can be bisected.
     """
 
     offset: int
@@ -52,22 +54,9 @@ class Segment:
     def is_fully_free(self) -> bool:
         return self.allocated_bytes == 0
 
-    def largest_free_block(self) -> int:
-        """Size of the largest free block inside this segment."""
-        free_sizes = [block.size for block in self.blocks if not block.allocated]
-        return max(free_sizes) if free_sizes else 0
-
-    def find_free_block(self, size: int) -> Optional[int]:
-        """Index of the smallest free block that fits ``size`` (best fit)."""
-        best_index = None
-        best_size = None
-        for index, block in enumerate(self.blocks):
-            if block.allocated or block.size < size:
-                continue
-            if best_size is None or block.size < best_size:
-                best_index = index
-                best_size = block.size
-        return best_index
+    def block_at(self, offset: int) -> int:
+        """Index of the block at ``offset``: a zero-size probe bisects to just before it."""
+        return bisect_left(self.blocks, Block(offset=offset, size=0))
 
     def allocate_in_block(self, index: int, size: int, tensor_id: str) -> Block:
         """Allocate ``size`` bytes at the beginning of free block ``index``.
@@ -93,28 +82,27 @@ class Segment:
         self.blocks.insert(index + 1, remainder)
         return block
 
-    def free_tensor(self, tensor_id: str) -> Optional[int]:
+    def free_tensor(self, tensor_id: str) -> Optional[List[Tuple[int, int]]]:
         """Free the block backing ``tensor_id`` and coalesce free neighbours.
 
-        Returns the freed block's size, or None if no block backs the tensor.
+        Returns the ``(size, offset)`` of each block of the coalesced run as it
+        was before merging, the freed one included; None if no block backs it.
         """
-        for index, block in enumerate(self.blocks):
-            if block.allocated and block.tensor_id == tensor_id:
-                freed = block.size
-                block.allocated = False
-                block.tensor_id = None
-                self.allocated_bytes -= freed
-                self._coalesce_around(index)
-                return freed
-        return None
-
-    def _coalesce_around(self, index: int) -> None:
-        # Merge with the following block first so the index stays valid.
-        while index + 1 < len(self.blocks) and not self.blocks[index].allocated \
-                and not self.blocks[index + 1].allocated:
-            self.blocks[index].size += self.blocks[index + 1].size
-            del self.blocks[index + 1]
-        while index > 0 and not self.blocks[index].allocated and not self.blocks[index - 1].allocated:
-            self.blocks[index - 1].size += self.blocks[index].size
-            del self.blocks[index]
-            index -= 1
+        blocks = self.blocks
+        low = next((i for i, b in enumerate(blocks) if b.allocated and b.tensor_id == tensor_id), None)
+        if low is None:
+            return None
+        block = blocks[low]
+        block.allocated = False
+        block.tensor_id = None
+        self.allocated_bytes -= block.size
+        # Merge the maximal run of free blocks around it into the run's first.
+        high = low + 1
+        while low > 0 and not blocks[low - 1].allocated:
+            low -= 1
+        while high < len(blocks) and not blocks[high].allocated:
+            high += 1
+        run = [(b.size, b.offset) for b in blocks[low:high]]
+        blocks[low].size = sum(size for size, _ in run)
+        del blocks[low + 1:high]
+        return run

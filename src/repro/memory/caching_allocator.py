@@ -18,8 +18,9 @@ The simulator reproduces the behaviour that matters for the paper:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MiB
 from repro.memory.block import Segment
@@ -49,17 +50,6 @@ class AllocatorStats:
     peak_allocated_bytes: int = 0
     peak_reserved_bytes: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "num_mallocs": self.num_mallocs,
-            "num_frees": self.num_frees,
-            "num_segment_allocations": self.num_segment_allocations,
-            "num_reorganizations": self.num_reorganizations,
-            "num_failed_allocations": self.num_failed_allocations,
-            "peak_allocated_bytes": self.peak_allocated_bytes,
-            "peak_reserved_bytes": self.peak_reserved_bytes,
-        }
-
 
 @dataclass
 class CachingAllocator:
@@ -84,13 +74,16 @@ class CachingAllocator:
     segments: List[Segment] = field(default_factory=list)
     stats: AllocatorStats = field(default_factory=AllocatorStats)
     timeline: MemoryTimeline = field(default_factory=MemoryTimeline)
-    _tensor_segment: Dict[str, int] = field(default_factory=dict)
+    _tensor_blocks: Dict[str, Tuple[int, int, int]] = field(default_factory=dict)
     _next_segment_start: int = 0
     _step: int = 0
     # Running totals, kept current where blocks and segments change, so that
     # recording a request does not re-sum every segment.
     _allocated_bytes: int = field(init=False, default=0)
     _reserved_bytes: int = field(init=False, default=0)
+    # Sorted (size, segment position, offset) per free block.  Positions, not
+    # ``Segment.start``, key it: caller-supplied segments' starts may collide.
+    _free_blocks: List[Tuple[int, int, int]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -99,6 +92,7 @@ class CachingAllocator:
             raise ValueError("round_to_bytes must be positive")
         self._allocated_bytes = sum(segment.allocated_bytes for segment in self.segments)
         self._reserved_bytes = sum(segment.size for segment in self.segments)
+        self._index_free_blocks()
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -137,19 +131,19 @@ class CachingAllocator:
             OutOfMemoryError: when no contiguous space can be found even after
                 releasing cached segments.
         """
-        if tensor_id in self._tensor_segment:
+        if tensor_id in self._tensor_blocks:
             raise ValueError(f"tensor {tensor_id!r} is already allocated")
         rounded = self._rounded(size)
         self.stats.num_mallocs += 1
 
-        segment_index = self._try_allocate(tensor_id, rounded)
-        if segment_index is None:
+        placed = self._try_allocate(tensor_id, rounded)
+        if placed is None:
             # Caching failed: reorganise (cudaFree all fully-free cached
             # segments, i.e. PyTorch's "release cached blocks" path) and retry.
             released = self._reorganize()
             if released:
-                segment_index = self._try_allocate(tensor_id, rounded)
-        if segment_index is None:
+                placed = self._try_allocate(tensor_id, rounded)
+        if placed is None:
             self.stats.num_failed_allocations += 1
             raise OutOfMemoryError(
                 f"cannot allocate {rounded} bytes for {tensor_id!r}: "
@@ -159,39 +153,48 @@ class CachingAllocator:
                 reserved=self.reserved_bytes,
                 allocated=self.allocated_bytes,
             )
-        self._tensor_segment[tensor_id] = segment_index
+        self._tensor_blocks[tensor_id] = (*placed, rounded)
         self._record()
 
-    def _try_allocate(self, tensor_id: str, rounded: int) -> Optional[int]:
-        """Try to place a request in a cached block or a new segment."""
-        # 1. best-fit over cached free blocks of existing segments.
-        best: Optional[tuple] = None
-        for segment_index, segment in enumerate(self.segments):
-            block_index = segment.find_free_block(rounded)
-            if block_index is None:
-                continue
-            waste = segment.blocks[block_index].size - rounded
-            if best is None or waste < best[0]:
-                best = (waste, segment_index, block_index)
-        if best is not None:
-            _, segment_index, block_index = best
-            self.segments[segment_index].allocate_in_block(block_index, rounded, tensor_id)
-            self._allocated_bytes += rounded
-            return segment_index
-        # 2. grow: cudaMalloc a new segment if the device has room.
-        segment_size = max(rounded, self.small_segment_bytes)
-        if rounded >= self.large_request_threshold:
-            segment_size = rounded
-        if self.reserved_bytes + segment_size <= self.capacity_bytes:
-            segment = Segment(start=self._next_segment_start, size=segment_size)
+    def _take_best_fit(self, rounded: int) -> Optional[Tuple[int, int, int]]:
+        """Unindex and return the free block that wastes least, ties to the first
+        segment, then block: the first entry at or above ``(rounded,)``, as
+        segments are in position order and blocks in offset order."""
+        slot = bisect_left(self._free_blocks, (rounded,))
+        return self._free_blocks.pop(slot) if slot < len(self._free_blocks) else None
+
+    def _unindex(self, entry: Tuple[int, int, int]) -> None:
+        del self._free_blocks[bisect_left(self._free_blocks, entry)]
+
+    def _index_free_blocks(self) -> None:
+        self._free_blocks = sorted(
+            (block.size, position, block.offset) for position, segment in enumerate(self.segments)
+            for block in segment.blocks if not block.allocated
+        )
+
+    def _try_allocate(self, tensor_id: str, rounded: int) -> Optional[Tuple[int, int]]:
+        """Place a request in a cached block or a new segment: (position, offset)."""
+        # 1. best fit over cached free blocks of existing segments.
+        fit = self._take_best_fit(rounded)
+        if fit is None:
+            # 2. grow: cudaMalloc a new segment if the device has room.
+            segment_size = max(rounded, self.small_segment_bytes)
+            if rounded >= self.large_request_threshold:
+                segment_size = rounded
+            if self.reserved_bytes + segment_size > self.capacity_bytes:
+                return None
+            self.segments.append(Segment(start=self._next_segment_start, size=segment_size))
             self._next_segment_start += segment_size
-            segment.allocate_in_block(0, rounded, tensor_id)
-            self.segments.append(segment)
             self._reserved_bytes += segment_size
-            self._allocated_bytes += rounded
             self.stats.num_segment_allocations += 1
-            return len(self.segments) - 1
-        return None
+            fit = (segment_size, len(self.segments) - 1, 0)
+        size, position, offset = fit
+        segment = self.segments[position]
+        segment.allocate_in_block(segment.block_at(offset), rounded, tensor_id)
+        if size > rounded:  # the split-off remainder stays free
+            insort(self._free_blocks, (size - rounded, position, offset + rounded))
+        self._allocated_bytes += rounded
+        return position, offset
 
     def _reorganize(self) -> int:
         """Release all fully-free cached segments back to the device.
@@ -212,23 +215,29 @@ class CachingAllocator:
         if released:
             self.segments = kept
             self._reserved_bytes -= released
-            self._tensor_segment = {
-                tensor: index_remap[old_index]
-                for tensor, old_index in self._tensor_segment.items()
+            self._tensor_blocks = {
+                tensor: (index_remap[position], offset, size)
+                for tensor, (position, offset, size) in self._tensor_blocks.items()
             }
+            self._index_free_blocks()
             self.stats.num_reorganizations += 1
         return released
 
     # ------------------------------------------------------------------ free
     def free(self, tensor_id: str) -> None:
         """Release the memory backing ``tensor_id`` back to the block cache."""
-        segment_index = self._tensor_segment.pop(tensor_id, None)
-        if segment_index is None:
+        placed = self._tensor_blocks.pop(tensor_id, None)
+        if placed is None:
             raise KeyError(f"tensor {tensor_id!r} is not allocated")
-        freed = self.segments[segment_index].free_tensor(tensor_id)
-        if freed is None:
+        position, offset, size = placed
+        run = self.segments[position].free_tensor(tensor_id)
+        if run is None:
             raise KeyError(f"tensor {tensor_id!r} not found in its segment")
-        self._allocated_bytes -= freed
+        for block_size, block_offset in run:
+            if block_offset != offset:
+                self._unindex((block_size, position, block_offset))
+        insort(self._free_blocks, (sum(block_size for block_size, _ in run), position, run[0][1]))
+        self._allocated_bytes -= size
         self.stats.num_frees += 1
         self._record()
 
@@ -240,9 +249,3 @@ class CachingAllocator:
         self.stats.peak_reserved_bytes = max(self.stats.peak_reserved_bytes, reserved)
         self.timeline.record(self._step, allocated, reserved)
         self._step += 1
-
-    def largest_free_contiguous(self) -> int:
-        """Largest single free block across all cached segments."""
-        if not self.segments:
-            return 0
-        return max(segment.largest_free_block() for segment in self.segments)

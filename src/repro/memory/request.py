@@ -93,13 +93,16 @@ def tensor_lifespans(trace: Sequence[MemoryRequest]) -> Dict[str, Tuple[int, int
     """Extract (malloc_step, free_step, size) per tensor from a trace.
 
     Tensors never freed get a free step of ``len(trace)`` (they live until the
-    end of the trace).
+    end of the trace).  A trace that mallocs an id again after its free raises
+    :class:`TraceError`, as a second lifespan would overwrite the first.
     """
     validate_trace(trace)
     spans: Dict[str, Tuple[int, int, int]] = {}
     open_at: Dict[str, Tuple[int, int]] = {}
     for step, request in enumerate(trace):
         if request.kind is RequestKind.MALLOC:
+            if request.tensor_id in spans:
+                raise TraceError(f"request {step}: tensor {request.tensor_id!r} malloc'd again after its free")
             open_at[request.tensor_id] = (step, request.size)
         else:
             start, size = open_at.pop(request.tensor_id)

@@ -7,8 +7,10 @@ minimising the peak address used (Section 4.2 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.memory.request import MemoryRequest, tensor_lifespans
 from repro.planner.plan import MemoryPlan
@@ -36,19 +38,32 @@ class DSATensor:
 
 @dataclass(frozen=True)
 class DSAProblem:
-    """An offline DSA instance: tensors plus the conflict (interference) edges."""
+    """An offline DSA instance: tensors whose overlapping lifespans conflict.
+
+    Solvers test overlap on lifespans; :attr:`conflicts` builds the O(n²) edges on first read.
+    """
 
     tensors: Tuple[DSATensor, ...]
-    conflicts: FrozenSet[Tuple[str, str]]
-    #: Derived adjacency index, built once: tensor id -> the ids it conflicts with.
-    neighbours: Dict[str, Set[str]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        neighbours: Dict[str, Set[str]] = {t.tensor_id: set() for t in self.tensors}
-        for a, b in self.conflicts:
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-        object.__setattr__(self, "neighbours", neighbours)
+    @cached_property
+    def conflicts(self) -> FrozenSet[Tuple[str, str]]:
+        """Conflicting id pairs in input order (i < j), as a pairwise scan emits
+        them, from a sweep by start over the open lifespans: O(n log n + |E|)."""
+        tensors = self.tensors
+        conflicts = set()
+        open_indices: List[int] = []
+        for j in sorted(range(len(tensors)), key=lambda index: tensors[index].start):
+            start = tensors[j].start
+            open_indices = [i for i in open_indices if tensors[i].end > start]
+            for i in open_indices:
+                a, b = (i, j) if i < j else (j, i)
+                conflicts.add((tensors[a].tensor_id, tensors[b].tensor_id))
+            open_indices.append(j)
+        return frozenset(conflicts)
+
+    @cached_property
+    def _by_id(self) -> Dict[str, DSATensor]:
+        return {tensor.tensor_id: tensor for tensor in self.tensors}
 
     @property
     def total_bytes(self) -> int:
@@ -59,8 +74,9 @@ class DSAProblem:
         return len(self.tensors)
 
     def conflicting(self, a: str, b: str) -> bool:
-        """Whether tensors ``a`` and ``b`` have overlapping lifespans."""
-        return b in self.neighbours.get(a, ())
+        """Whether tensors ``a`` and ``b`` are distinct and have overlapping lifespans."""
+        by_id = self._by_id
+        return a != b and a in by_id and b in by_id and by_id[a].conflicts_with(by_id[b])
 
     def lower_bound_bytes(self) -> int:
         """Lower bound on the optimal peak: max total size live at any instant."""
@@ -81,13 +97,17 @@ class DSAProblem:
     def validate_plan(self, plan: MemoryPlan) -> None:
         """Check that a plan covers every tensor and respects all conflicts.
 
+        A sweep over time (releases first at a step) keeps the live planned
+        spans sorted by address.  They are disjoint until the first overlap,
+        so a new span can only overlap its address neighbour on either side.
+
         Raises:
-            ValueError: on a missing tensor, a size mismatch, or two
-                conflicting tensors whose planned regions overlap.
+            ValueError: on a missing tensor, a size mismatch, or two conflicting
+                tensors whose planned regions overlap (named in input order).
         """
         entries = plan.entries
-        spans: Dict[str, Tuple[int, int]] = {}
-        for tensor in self.tensors:
+        events: List[Tuple[int, bool, int, int, int]] = []
+        for index, tensor in enumerate(self.tensors):
             entry = entries.get(tensor.tensor_id)
             if entry is None:
                 raise ValueError(f"plan is missing tensor {tensor.tensor_id!r}")
@@ -96,35 +116,37 @@ class DSAProblem:
                     f"plan size mismatch for {tensor.tensor_id!r}: "
                     f"{entry.size} != {tensor.size}"
                 )
-            spans[tensor.tensor_id] = (entry.address, entry.address + entry.size)
-        for a, b in self.conflicts:
-            start_a, end_a = spans[a]
-            start_b, end_b = spans[b]
-            if start_a < end_b and start_b < end_a:
-                raise ValueError(
-                    f"conflicting tensors {a!r} and {b!r} overlap in the plan "
-                    f"([{start_a}, {end_a}) vs [{start_b}, {end_b}))"
-                )
+            events.append((tensor.start, True, entry.address, entry.end, index))
+            events.append((tensor.end, False, entry.address, entry.end, index))
+        events.sort()
+        live: List[Tuple[int, int, int]] = []  # (address, end address, index)
+        for _, allocate, address, end, index in events:
+            span = (address, end, index)
+            position = bisect_left(live, span)
+            if not allocate:
+                del live[position]
+                continue
+            if position and live[position - 1][1] > address:
+                other = live[position - 1]
+            elif position < len(live) and live[position][0] < end:
+                other = live[position]
+            else:
+                live.insert(position, span)
+                continue
+            (start_a, end_a, a), (start_b, end_b, b) = sorted((span, other), key=lambda s: s[2])
+            raise ValueError(
+                f"conflicting tensors {self.tensors[a].tensor_id!r} and "
+                f"{self.tensors[b].tensor_id!r} overlap in the plan "
+                f"([{start_a}, {end_a}) vs [{start_b}, {end_b}))"
+            )
 
 
 def problem_from_tensors(tensors: Sequence[DSATensor]) -> DSAProblem:
-    """Build a DSA problem from explicit tensors, computing the conflict set."""
+    """Build a DSA problem from explicit tensors (ids must be unique)."""
     ids = [t.tensor_id for t in tensors]
     if len(set(ids)) != len(ids):
         raise ValueError("tensor ids must be unique")
-    # Sweep by start time, keeping the lifespans still open: each open one
-    # conflicts with the tensor being swept, so the scan costs O(n log n + |E|).
-    # Pairs keep input order (i < j), as a pairwise scan would emit them.
-    conflicts = set()
-    open_indices: List[int] = []
-    for j in sorted(range(len(tensors)), key=lambda index: tensors[index].start):
-        start = tensors[j].start
-        open_indices = [i for i in open_indices if tensors[i].end > start]
-        for i in open_indices:
-            a, b = (i, j) if i < j else (j, i)
-            conflicts.add((ids[a], ids[b]))
-        open_indices.append(j)
-    return DSAProblem(tensors=tuple(tensors), conflicts=frozenset(conflicts))
+    return DSAProblem(tensors=tuple(tensors))
 
 
 def problem_from_trace(trace: Sequence[MemoryRequest]) -> DSAProblem:

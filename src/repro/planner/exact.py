@@ -17,7 +17,7 @@ the layer-sized instances the bi-level planner produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -63,28 +63,14 @@ def _solve_branch_and_bound(problem: DSAProblem, options: ExactSolverOptions) ->
     incumbent = solve_heuristic(problem)
     lower_bound = problem.lower_bound_bytes()
     if incumbent.peak_bytes <= lower_bound:
-        return _renamed(incumbent, "exact-bb")
+        return MemoryPlan.union([incumbent], solver="exact-bb")
 
     tensors = sorted(problem.tensors, key=lambda t: (-t.size, t.start, t.tensor_id))
     best_plan = incumbent
     best_peak = incumbent.peak_bytes
     nodes_visited = 0
 
-    placed: Dict[str, PlanEntry] = {}
-
-    def placed_neighbours(tensor: DSATensor) -> List[PlanEntry]:
-        neighbours = problem.neighbours[tensor.tensor_id]
-        return [placed[other] for other in neighbours if other in placed]
-
-    def candidate_addresses(tensor: DSATensor) -> List[int]:
-        """Addresses worth trying: 0 and the end of every conflicting placement."""
-        return sorted({0, *(entry.end for entry in placed_neighbours(tensor))})
-
-    def feasible(tensor: DSATensor, address: int) -> bool:
-        end = address + tensor.size
-        return not any(
-            address < entry.end and entry.address < end for entry in placed_neighbours(tensor)
-        )
+    placed: Dict[str, Tuple[DSATensor, PlanEntry]] = {}
 
     def recurse(index: int, current_peak: int) -> None:
         nonlocal best_plan, best_peak, nodes_visited
@@ -95,19 +81,21 @@ def _solve_branch_and_bound(problem: DSAProblem, options: ExactSolverOptions) ->
             return
         if index == len(tensors):
             plan = MemoryPlan(solver="exact-bb")
-            for entry in placed.values():
-                plan.add(PlanEntry(entry.tensor_id, entry.address, entry.size))
+            for _, entry in placed.values():
+                plan.add(entry)
             best_plan = plan
             best_peak = current_peak
             return
         tensor = tensors[index]
-        for address in candidate_addresses(tensor):
-            if address + tensor.size >= best_peak:
-                continue
-            if not feasible(tensor, address):
+        neighbours = [entry for other, entry in placed.values()
+                      if other.start < tensor.end and tensor.start < other.end]
+        # Addresses worth trying: 0 and the end of every conflicting placement.
+        for address in sorted({0, *(entry.end for entry in neighbours)}):
+            end = address + tensor.size
+            if end >= best_peak or any(address < e.end and e.address < end for e in neighbours):
                 continue
             entry = PlanEntry(tensor.tensor_id, address, tensor.size)
-            placed[tensor.tensor_id] = entry
+            placed[tensor.tensor_id] = (tensor, entry)
             recurse(index + 1, max(current_peak, entry.end))
             del placed[tensor.tensor_id]
             if best_peak <= lower_bound:
@@ -115,14 +103,7 @@ def _solve_branch_and_bound(problem: DSAProblem, options: ExactSolverOptions) ->
 
     recurse(0, 0)
     problem.validate_plan(best_plan)
-    return _renamed(best_plan, "exact-bb")
-
-
-def _renamed(plan: MemoryPlan, solver: str) -> MemoryPlan:
-    renamed = MemoryPlan(solver=solver)
-    for entry in plan.entries.values():
-        renamed.add(entry)
-    return renamed
+    return MemoryPlan.union([best_plan], solver="exact-bb")
 
 
 # -------------------------------------------------------------------------- MILP

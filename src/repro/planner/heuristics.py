@@ -15,7 +15,8 @@ peak memory is heuristic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from bisect import insort
+from typing import List, Tuple
 
 from repro.planner.dsa import DSAProblem, DSATensor
 from repro.planner.plan import MemoryPlan, PlanEntry
@@ -29,27 +30,29 @@ def _solve_in_order(problem: DSAProblem, order: List[DSATensor], best_fit: bool,
     bounded gap that fits, the tensor goes above every conflicting region.
     """
     plan = MemoryPlan(solver=name)
-    placed: Dict[str, Tuple[int, int]] = {}
+    placed: List[Tuple[int, int, int, int]] = []  # address-sorted (address, end, start, end)
     for tensor in order:
-        size = tensor.size
-        spans = [placed[other] for other in problem.neighbours[tensor.tensor_id] if other in placed]
-        spans.sort()
+        size, start, end = tensor.size, tensor.start, tensor.end
+        spans = [span for span in placed if span[2] < end and start < span[3]]  # conflicting
+        if best_fit:
+            # In start order a placed tensor not live at ``start`` never conflicts again.
+            placed = spans
         # One pass over the address-sorted spans: a gap opens only where a span
         # starts above the highest end seen so far, so no merging is needed.
         address = best_gap = None
         cursor = 0
-        for start, end in spans:
-            gap = start - cursor
+        for low, high, _, _ in spans:
+            gap = low - cursor
             if gap >= size and (best_gap is None or gap < best_gap):
                 address, best_gap = cursor, gap
                 if not best_fit:
                     break
-            if end > cursor:
-                cursor = end
+            if high > cursor:
+                cursor = high
         if address is None:
             address = cursor
         plan.add(PlanEntry(tensor_id=tensor.tensor_id, address=address, size=size))
-        placed[tensor.tensor_id] = (address, address + size)
+        insort(placed, (address, address + size, start, end))
     problem.validate_plan(plan)
     return plan
 

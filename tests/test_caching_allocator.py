@@ -77,13 +77,6 @@ class TestFragmentation:
         allocator.malloc("d", 2 * quarter)
         assert allocator.stats.num_segment_allocations == segments_before
 
-    def test_largest_free_contiguous(self):
-        allocator = make_allocator()
-        assert allocator.largest_free_contiguous() == 0
-        allocator.malloc("a", 4 * MiB)
-        allocator.free("a")
-        assert allocator.largest_free_contiguous() >= 4 * MiB
-
 
 class TestReorganizationAndOom:
     def test_reorganization_releases_cached_segments(self):

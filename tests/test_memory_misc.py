@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import GiB, MiB
 from repro.memory.block import Block, Segment
+from repro.memory.caching_allocator import CachingAllocator
 from repro.memory.fragmentation import analyze_trace
 from repro.memory.request import MemoryRequest, RequestKind
 from repro.memory.snapshot import MemoryTimeline
@@ -40,12 +41,18 @@ class TestSegment:
         assert segment.is_fully_free
 
     def test_best_fit_prefers_smallest_gap(self):
-        segment = Segment(start=0, size=1000)
-        segment.allocate_in_block(0, 400, "a")   # [a:400][free:600]
-        segment.allocate_in_block(1, 500, "b")   # [a][b:500][free:100]
-        segment.free_tensor("a")                 # [free:400][b][free:100]
-        index = segment.find_free_block(80)
-        assert segment.blocks[index].size == 100
+        allocator = CachingAllocator(
+            capacity_bytes=1000, round_to_bytes=1, small_segment_bytes=1000,
+        )
+        allocator.malloc("a", 400)   # [a:400][free:600]
+        allocator.malloc("b", 500)   # [a][b:500][free:100]
+        allocator.free("a")          # [free:400][b][free:100]
+        allocator.malloc("c", 80)
+        (segment,) = allocator.segments
+        # "c" was carved from the 100-byte block; the 400-byte one is intact.
+        assert [(block.offset, block.size, block.tensor_id) for block in segment.blocks] == [
+            (0, 400, None), (400, 500, "b"), (900, 80, "c"), (980, 20, None),
+        ]
 
     def test_cannot_allocate_in_allocated_block(self):
         segment = Segment(start=0, size=100)

@@ -13,6 +13,7 @@ from repro.memory.request import (
     trace_to_strings,
     validate_trace,
 )
+from repro.planner.dsa import problem_from_trace
 
 
 def malloc(name, size):
@@ -67,6 +68,20 @@ class TestPeakAndLifespans:
         spans = tensor_lifespans(trace)
         assert spans["a"] == (0, 2, 10)
         assert spans["b"] == (1, 3, 20)  # never freed -> lives to end of trace
+
+    def test_reused_id_is_rejected_not_overwritten(self):
+        # A valid trace (each malloc of "a" follows its free) whose live peak is
+        # 100 B; keeping only the second lifespan of "a" would plan 80 B.
+        trace = [
+            malloc("a", 100), free("a", 100), malloc("b", 50),
+            malloc("a", 30), free("a", 30), free("b", 50),
+        ]
+        validate_trace(trace)
+        assert peak_live_bytes(trace) == 100
+        with pytest.raises(TraceError, match=r"request 3: tensor 'a' malloc'd again after its free"):
+            tensor_lifespans(trace)
+        with pytest.raises(TraceError, match="request 3"):
+            problem_from_trace(trace)
 
     def test_concat(self):
         first = [malloc("a", 10), free("a", 10)]

@@ -70,6 +70,17 @@ class TestExactSolver:
         plan = solve_exact(problem)
         assert plan.peak_bytes == problem.lower_bound_bytes()
 
+    def test_search_beats_both_heuristics(self):
+        # Both heuristics peak at 25 B; only the branch-and-bound search finds 22 B.
+        problem = problem_from_tensors([
+            DSATensor("t0", 7, 3, 7), DSATensor("t1", 4, 4, 8), DSATensor("t2", 5, 2, 5),
+            DSATensor("t3", 6, 3, 4), DSATensor("t4", 9, 5, 6),
+        ])
+        assert solve_heuristic(problem).peak_bytes == 25
+        plan = solve_exact(problem)
+        problem.validate_plan(plan)
+        assert plan.peak_bytes == 22
+
     def test_node_budget_still_returns_valid_plan(self):
         problem = interval_problem()
         plan = solve_exact(problem, ExactSolverOptions(max_nodes=1))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.memory.caching_allocator import CachingAllocator, OutOfMemoryError
 from repro.memory.planned_allocator import PlannedAllocator
 from repro.memory.request import MemoryRequest, RequestKind, peak_live_bytes, validate_trace
+from repro.model.specs import get_model_config
+from repro.model.trace import full_model_trace
 from repro.planner.dsa import DSATensor, problem_from_tensors, problem_from_trace
-from repro.planner.exact import solve_exact
-from repro.planner.heuristics import solve_best_fit, solve_first_fit_decreasing
+from repro.planner.exact import ExactSolverOptions, solve_exact
+from repro.planner.heuristics import solve_best_fit, solve_first_fit_decreasing, solve_heuristic
 from repro.planner.plan import MemoryPlan, PlanEntry
 from repro.sim.executor import LayerTask, simulate_iteration
 from repro.swap.alpha import AlphaProblem, solve_alpha
@@ -250,6 +253,69 @@ class TestDSAIndexProperties:
             problem.validate_plan(corrupted)
 
 
+class TestLifespanNativeDSA:
+    """The planner answers overlap questions from lifespans, never from edges."""
+
+    @given(
+        dsa_tensor_lists(),
+        # One address per tensor: dsa_tensor_lists draws at most 14 tensors.
+        st.lists(st.integers(min_value=0, max_value=1024), min_size=14, max_size=14),
+    )
+    # Touching regions ([0, 8) and [8, 16)) do not overlap; an equal address does.
+    @example(
+        [DSATensor("a", 8, 0, 2), DSATensor("b", 8, 1, 3), DSATensor("c", 8, 1, 3)],
+        [0, 8, 0] + [0] * 11,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_validate_plan_equals_pairwise_reference(self, tensors, addresses):
+        plan = MemoryPlan(solver="drawn")
+        for tensor, address in zip(tensors, addresses):
+            plan.add(PlanEntry(tensor.tensor_id, address, tensor.size))
+        # Brute force: every conflicting pair, in input order, whose regions overlap.
+        overlapping = {
+            (a, b) for a, b in _pairwise_conflicts(tensors)
+            if plan.entries[a].overlaps(plan.entries[b])
+        }
+        problem = problem_from_tensors(tensors)
+        if not overlapping:
+            problem.validate_plan(plan)
+            return
+        with pytest.raises(ValueError, match="overlap in the plan") as raised:
+            problem.validate_plan(plan)
+        named = re.match(r"conflicting tensors '(\w+)' and '(\w+)'", str(raised.value))
+        assert named.groups() in overlapping
+
+    @given(dsa_tensor_lists(max_tensors=10))
+    # An instance where the search beats both heuristics (22 B against 25 B).
+    @example([
+        DSATensor("t0", 7, 3, 7), DSATensor("t1", 4, 4, 8), DSATensor("t2", 5, 2, 5),
+        DSATensor("t3", 6, 3, 4), DSATensor("t4", 9, 5, 6),
+    ])
+    @settings(max_examples=100, deadline=None)
+    def test_exact_plans_are_valid_with_touching_lifespans(self, tensors):
+        # Branch-and-bound filters conflicts on the lifespans too; equal starts
+        # and touching ends are where an off-by-one would show.
+        problem = problem_from_tensors(tensors)
+        exact = solve_exact(problem, ExactSolverOptions(max_nodes=5_000))
+        problem.validate_plan(exact)
+        for a, b in problem.conflicts:
+            assert not exact.entries[a].overlaps(exact.entries[b])
+        heuristic = min(
+            solve_best_fit(problem).peak_bytes, solve_first_fit_decreasing(problem).peak_bytes
+        )
+        assert problem.lower_bound_bytes() <= exact.peak_bytes <= heuristic
+
+    def test_heuristics_never_build_the_conflict_graph(self):
+        trace = full_model_trace(get_model_config("7B"), 1, 1024, num_layers=2)
+        problem = problem_from_trace(trace)
+        plan = solve_heuristic(problem)
+        assert "conflicts" not in problem.__dict__
+        # Reading the edges builds them once, and the plan still respects them.
+        for a, b in problem.conflicts:
+            assert not plan.entries[a].overlaps(plan.entries[b])
+        assert "conflicts" in problem.__dict__
+
+
 class TestCachingAllocatorProperties:
     @given(malloc_free_traces())
     @settings(max_examples=40, deadline=None)
@@ -326,6 +392,93 @@ class TestCachingAllocatorProperties:
             elif request.tensor_id not in failed:
                 allocator.free(request.tensor_id)
             self._assert_totals_match_blocks(allocator)
+
+
+class _LinearBestFitAllocator(CachingAllocator):
+    """The allocator with a frozen copy of the original best-fit search.
+
+    It scans every block of every segment for the smallest one that fits,
+    keeping the first segment, then the first block, on ties.
+    """
+
+    def _take_best_fit(self, rounded):
+        best = None
+        for segment_index, segment in enumerate(self.segments):
+            block_index = None
+            best_size = None
+            for index, block in enumerate(segment.blocks):
+                if block.allocated or block.size < rounded:
+                    continue
+                if best_size is None or block.size < best_size:
+                    block_index = index
+                    best_size = block.size
+            if block_index is None:
+                continue
+            waste = segment.blocks[block_index].size - rounded
+            if best is None or waste < best[0]:
+                best = (waste, segment_index, block_index)
+        if best is None:
+            return None
+        _, segment_index, block_index = best
+        block = self.segments[segment_index].blocks[block_index]
+        choice = (block.size, segment_index, block.offset)
+        self._unindex(choice)  # the free path keeps reading the index
+        return choice
+
+
+class TestFreeBlockIndex:
+    """The indexed best fit makes the linear scan's choices, request for request."""
+
+    @given(
+        malloc_free_traces(max_tensors=16),
+        st.sampled_from([1, 512]),
+        st.sampled_from([1, 1 << 15]),
+        st.floats(min_value=1.0, max_value=2.0),
+    )
+    @example(
+        [
+            MemoryRequest(RequestKind.MALLOC, "a", 1 << 16),
+            MemoryRequest(RequestKind.MALLOC, "b", 1 << 16),
+            MemoryRequest(RequestKind.FREE, "a", 1 << 16),
+            MemoryRequest(RequestKind.MALLOC, "c", 2 << 16),
+        ],
+        1, 1, 1.0,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_indexed_best_fit_equals_linear_scan(self, trace, round_to, large, capacity_scale):
+        settings_ = dict(
+            capacity_bytes=int(capacity_scale * peak_live_bytes(trace)) + 1024,
+            round_to_bytes=round_to,
+            large_request_threshold=large,
+            small_segment_bytes=1 << 16,
+        )
+        allocator = CachingAllocator(**settings_)
+        reference = _LinearBestFitAllocator(**settings_)
+        failed = set()
+        for request in trace:
+            outcomes = []
+            for subject in (allocator, reference):
+                try:
+                    if request.kind is RequestKind.MALLOC:
+                        subject.malloc(request.tensor_id, request.size)
+                    elif request.tensor_id not in failed:
+                        subject.free(request.tensor_id)
+                    outcomes.append(None)
+                except OutOfMemoryError as error:
+                    outcomes.append((error.requested, error.reserved, error.allocated))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0] is not None:
+                failed.add(request.tensor_id)
+            # Same block for every tensor, same layout, same counters.
+            assert allocator._tensor_blocks == reference._tensor_blocks
+            assert allocator.segments == reference.segments
+            assert allocator.stats == reference.stats
+            assert allocator.timeline.points == reference.timeline.points
+            assert allocator._free_blocks == sorted(
+                (block.size, position, block.offset)
+                for position, segment in enumerate(allocator.segments)
+                for block in segment.blocks if not block.allocated
+            )
 
 
 class TestAlphaProperties:
