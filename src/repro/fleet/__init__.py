@@ -5,10 +5,9 @@ Turns the single-workload planner into a service-shaped subsystem: a
 deterministic, deduplicated workload points; :func:`~repro.fleet.planner.plan_fleet`
 fans the points out over worker processes with per-point error capture; a
 disk-backed cache (``repro.sim.fastpath.save_fastpath_caches`` /
-``load_fastpath_caches``) keeps schedule structures, compiled programs,
-timelines and stage profiles warm across runs.  Every per-point answer is
-bit-identical to a standalone single-workload search -- cold, warm or
-parallel.
+``load_fastpath_caches``) keeps schedule structures, timelines and stage
+profiles warm across runs.  Every per-point answer is bit-identical to a
+standalone single-workload search -- cold, warm or parallel.
 """
 
 from repro.fleet.grid import (

@@ -5,23 +5,33 @@ dependency DAG: per-rank in-order execution, per-stage stream serialisation,
 cross-rank activation/gradient hand-offs and host-transfer completions.  The
 discrete-event run in :func:`repro.sim.pipeline.simulate_pipeline` resolves
 those dependencies with a priority queue and per-event closures; this module
-resolves the *same* recurrences with a single O(#ops) worklist sweep and no
-event objects, which makes it roughly an order of magnitude cheaper -- the
-difference between a strategy search that crawls and one that flies.
+resolves the *same* recurrences with no event objects, which makes it
+roughly an order of magnitude cheaper -- the difference between a strategy
+search that crawls and one that flies.  It works in two steps:
+
+* **lowering** -- :func:`compile_schedule_program` walks a schedule once into
+  a cost-free :class:`ScheduleProgram`: the order the recurrence steps run in,
+  decided by which dependency events have fired and by placement, never by a
+  cost value, so one compile (cached per structure) serves every cost vector.
+  It is the only code here that decides op order;
+* **execution** -- :func:`critical_path_timeline` runs the program over one
+  cost vector with plain floats; :func:`critical_path_timeline_batch` runs it
+  over a batch with elementwise numpy recurrences (Monte-Carlo replica
+  batching in :mod:`repro.sim.stochastic`), bit-identical per row.
 
 Equivalence invariant (the load-bearing property of this module): for every
 schedule and every cost vector, :func:`critical_path_timeline` returns the
 same makespan, the same per-rank busy times (hence the same bubble fraction)
 and the same per-rank peak memory as :func:`~repro.sim.pipeline.simulate_pipeline`
--- bit-identical, not merely approximately equal.  It reuses the same
-:class:`~repro.sim.streams.Stream` arithmetic and mirrors the event engine's
+-- bit-identical, not merely approximately equal.  The executors reuse the
+:class:`~repro.sim.streams.Stream` arithmetic and mirror the event engine's
 ``max``/``+`` expressions term for term, so no floating-point divergence can
 creep in.  The event engine survives as the correctness oracle behind
 ``validate=True`` (and the property tests in
 ``tests/test_properties_fastpath.py`` re-prove the invariant on randomized
 grids).
 
-Why the sweep is exact and not a relaxation:
+Why the propagation is exact and not a relaxation:
 
 * ranks are in-order, so the time an op is *submitted* obeys the recurrence
   ``T_submit(op) = max(T_submit(prev), dep arrival times)`` -- the engine's
@@ -32,8 +42,7 @@ Why the sweep is exact and not a relaxation:
   reaches the head of its rank's queue, is ``max(T_submit(prev), forward_end)``
   in closed form (the engine pokes a rank at exactly those two times).
 
-On top of the evaluator sit three layers used by the strategy search and
-the Monte-Carlo machinery:
+Around the evaluator sit two layers used by the strategy search:
 
 * **memoization** -- :func:`cached_build_schedule` caches validated
   :class:`~repro.sim.schedules.PipelineSchedule` objects by their
@@ -50,16 +59,7 @@ the Monte-Carlo machinery:
   of pipeline-fill + the rank's total work + gradient-drain for fused
   schedules, and the single-micro-batch traversal path), used by the
   candidate loops to skip simulating schedules that provably cannot beat the
-  incumbent;
-* **batch execution** -- the sweep's control flow is purely structural
-  (every branch is decided by event-fired booleans or the placement map,
-  never a cost value), so :func:`compile_schedule_program` lowers a
-  schedule once into a cost-free :class:`ScheduleProgram` instruction
-  stream (cached per structure key) and
-  :func:`critical_path_timeline_batch` replays it over a whole batch of
-  per-stage cost vectors with elementwise numpy recurrences, bit-identical
-  per row to :func:`critical_path_timeline` -- the engine behind
-  Monte-Carlo replica batching in :mod:`repro.sim.stochastic`.
+  incumbent.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import tempfile
 import warnings
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import update_wrapper
+from functools import lru_cache, update_wrapper
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,6 +80,7 @@ from repro.sim.pipeline import (
     PipelineOpRecord,
     PipelineTimeline,
     StageCosts,
+    _check_transfer_parameters,
     _normalise_costs,
     peak_activation_bytes,
     simulate_pipeline,
@@ -111,11 +112,6 @@ LOWER_BOUND_SAFETY = 1e-9
 #: :func:`cached_build_schedule` call rebuilds a fresh current-generation
 #: instance.
 _CACHE_GENERATION = 1
-
-
-def _current_cache_generation() -> int:
-    """The live cache generation (exposed for tests)."""
-    return _CACHE_GENERATION
 
 
 #: ``functools.lru_cache``-compatible statistics tuple: the benchmarks and
@@ -294,226 +290,18 @@ def wave_ratio_from_costs(
     return quantise_wave_ratio(forward, backward_input, backward_weight)
 
 
-def critical_path_timeline(
-    schedule: PipelineSchedule,
-    costs: Union[StageCosts, Sequence[StageCosts]],
-    p2p_bandwidth_bytes_per_s: float = float("inf"),
-    p2p_latency_s: float = 0.0,
-    pcie_bandwidth_bytes_per_s: float = 16e9,
-    record_ops: bool = False,
-) -> PipelineTimeline:
-    """Evaluate a pipeline schedule by longest-path propagation over its DAG.
-
-    Drop-in replacement for :func:`repro.sim.pipeline.simulate_pipeline`
-    returning a bit-identical :class:`~repro.sim.pipeline.PipelineTimeline`
-    (makespan, per-rank busy times, bubble, peak memory) without running the
-    discrete-event engine.  ``records`` are populated only when
-    ``record_ops=True`` (they are the one output the search never reads, and
-    skipping them keeps the hot path allocation-free); record order is
-    per-rank rather than global-event order -- use
-    :meth:`~repro.sim.pipeline.PipelineTimeline.record` to look ops up.
-
-    Raises:
-        RuntimeError: if the schedule deadlocks (cannot happen for schedules
-            from :func:`~repro.sim.schedules.build_schedule`).
-    """
-    per_stage = _normalise_costs(schedule, costs)
-    if p2p_bandwidth_bytes_per_s <= 0:
-        raise ValueError("p2p_bandwidth_bytes_per_s must be positive")
-    if p2p_latency_s < 0:
-        raise ValueError("p2p_latency_s must be non-negative")
-    if pcie_bandwidth_bytes_per_s <= 0:
-        raise ValueError("pcie_bandwidth_bytes_per_s must be positive")
-
-    p = schedule.num_stages
-    m = schedule.num_micro_batches
-    last_stage = schedule.num_virtual_stages - 1
-    # Placement map (mirrors the event engine's _PipelineState.vs_rank): the
-    # rank a cross-stage hand-off targets is placement-dependent.
-    vs_rank = schedule.virtual_stage_ranks
-    # Per-stage costs flattened into arrays, durations pre-summed exactly as
-    # the event engine sums them per dispatch (same expressions, so the same
-    # floats), keeping attribute lookups out of the O(#ops) loop.
-    forward_dur = [stage.forward_s for stage in per_stage]
-    fused_dur = [stage.recompute_s + stage.backward_s for stage in per_stage]
-    input_dur = [stage.recompute_s + stage.split_backward_input_s for stage in per_stage]
-    weight_dur = [stage.split_backward_weight_s for stage in per_stage]
-    offload_bytes = [stage.offload_bytes for stage in per_stage]
-    prefetch_bytes = [stage.prefetch_bytes for stage in per_stage]
-    p2p_bytes = [stage.p2p_bytes for stage in per_stage]
-    # Streams as flat floats: ``start = max(earliest, avail); end = start +
-    # duration; busy += duration`` is Stream.submit verbatim, so the
-    # arithmetic (and hence every reported number) stays bit-identical.
-    compute_avail = [0.0] * p
-    compute_busy = [0.0] * p
-    d2h_avail = [0.0] * p
-    d2h_busy = [0.0] * p
-    h2d_avail = [0.0] * p
-    h2d_busy = [0.0] * p
-    pointer = [0] * p
-    # Engine time at which each rank's most recent op was submitted -- the
-    # value the event engine's ``engine.now`` holds inside the poke that
-    # dispatches the next op of the rank.
-    clock = [0.0] * p
-    # Dependency tables indexed by virtual_stage * m + micro_batch; ``None``
-    # marks "event not fired yet" (0.0 is a legitimate arrival time).
-    size = schedule.num_virtual_stages * m
-    forward_ready: List[Optional[float]] = [0.0] * m + [None] * (size - m)
-    forward_done: List[Optional[float]] = [None] * size
-    grad_ready: List[Optional[float]] = [None] * size
-    prefetch_end: List[Optional[float]] = [None] * size
-    records: List[PipelineOpRecord] = []
-
-    kind_forward = OpKind.FORWARD
-    kind_weight = OpKind.BACKWARD_WEIGHT
-    worklist = list(range(p))
-    while worklist:
-        rank = worklist.pop()
-        ops = schedule.rank_ops[rank]
-        num_ops = len(ops)
-        avail = compute_avail[rank]
-        busy = compute_busy[rank]
-        now = clock[rank]
-        index = pointer[rank]
-        while index < num_ops:
-            op = ops[index]
-            kind, _, _, micro_batch, virtual_stage = op
-            key = virtual_stage * m + micro_batch
-            if kind is kind_forward:
-                ready = forward_ready[key]
-                if ready is None:
-                    break
-                duration = forward_dur[virtual_stage]
-                start = ready if ready > avail else avail
-                end = start + duration
-                avail = end
-                busy += duration
-                if ready > now:
-                    now = ready
-                forward_done[key] = end
-                if offload_bytes[virtual_stage] > 0:
-                    transfer = offload_bytes[virtual_stage] / pcie_bandwidth_bytes_per_s
-                    d2h_start = max(end, d2h_avail[rank])
-                    d2h_avail[rank] = d2h_start + transfer
-                    d2h_busy[rank] += transfer
-                if virtual_stage < last_stage:
-                    dst_rank = vs_rank[virtual_stage + 1]
-                    arrival = end
-                    if dst_rank != rank:
-                        if p2p_bytes[virtual_stage] > 0:
-                            arrival = end + (
-                                p2p_latency_s
-                                + p2p_bytes[virtual_stage] / p2p_bandwidth_bytes_per_s
-                            )
-                        worklist.append(dst_rank)
-                    forward_ready[key + m] = arrival
-            elif kind is kind_weight:
-                # Rank-local: dispatched in the same poke as the previous op,
-                # so the engine submits it at the rank's current clock.
-                duration = weight_dur[virtual_stage]
-                start = now if now > avail else avail
-                end = start + duration
-                avail = end
-                busy += duration
-            else:  # BACKWARD or BACKWARD_INPUT
-                forward_end = forward_done[key]
-                if forward_end is None:
-                    break
-                if prefetch_bytes[virtual_stage] > 0 and prefetch_end[key] is None:
-                    # Issued as soon as the backward heads the rank's queue
-                    # with its forward complete, even before the gradient
-                    # arrives -- exactly the engine's first eligible poke.
-                    issue = now if now > forward_end else forward_end
-                    transfer = prefetch_bytes[virtual_stage] / pcie_bandwidth_bytes_per_s
-                    h2d_start = max(issue, h2d_avail[rank])
-                    h2d_avail[rank] = h2d_start + transfer
-                    h2d_busy[rank] += transfer
-                    prefetch_end[key] = h2d_avail[rank]
-                if virtual_stage == last_stage:
-                    grad = forward_end  # loss gradient follows the forward
-                else:
-                    grad = grad_ready[key]
-                    if grad is None:
-                        break
-                earliest = grad if grad > forward_end else forward_end
-                fetched = prefetch_end[key]
-                if fetched is not None and fetched > earliest:
-                    earliest = fetched
-                duration = (
-                    input_dur[virtual_stage]
-                    if kind is OpKind.BACKWARD_INPUT else fused_dur[virtual_stage]
-                )
-                start = earliest if earliest > avail else avail
-                end = start + duration
-                avail = end
-                busy += duration
-                if forward_end > now:
-                    now = forward_end
-                if grad > now:
-                    now = grad
-                if virtual_stage > 0:
-                    dst_rank = vs_rank[virtual_stage - 1]
-                    arrival = end
-                    if dst_rank != rank:
-                        grad_bytes = p2p_bytes[virtual_stage - 1]
-                        if grad_bytes > 0:
-                            arrival = end + (
-                                p2p_latency_s + grad_bytes / p2p_bandwidth_bytes_per_s
-                            )
-                        worklist.append(dst_rank)
-                    grad_ready[key - m] = arrival
-            if record_ops:
-                records.append(PipelineOpRecord(op, start, end))
-            index += 1
-        compute_avail[rank] = avail
-        compute_busy[rank] = busy
-        clock[rank] = now
-        pointer[rank] = index
-
-    stuck = [
-        (rank, schedule.rank_ops[rank][pointer[rank]])
-        for rank in range(p)
-        if pointer[rank] < len(schedule.rank_ops[rank])
-    ]
-    if stuck:
-        summary = ", ".join(f"rank {rank}: {op}" for rank, op in stuck)
-        raise RuntimeError(f"pipeline schedule deadlocked at {summary}")
-
-    total = max(compute_avail + d2h_avail + h2d_avail)
-    return PipelineTimeline(
-        schedule=schedule,
-        total_s=total,
-        rank_compute_busy_s=compute_busy,
-        rank_d2h_busy_s=d2h_busy,
-        rank_h2d_busy_s=h2d_busy,
-        rank_peak_in_flight=schedule.peak_in_flight(),
-        rank_peak_activation_bytes=peak_activation_bytes(schedule, per_stage),
-        records=records,
-    )
-
-
-# ------------------------------------------------------------ batch fast path
+# ------------------------------------------------------- lowering + executors
 #
-# The scalar sweep above interleaves two concerns: *which* recurrence step runs
-# next (the worklist order, the break points where a dependency has not fired
-# yet, the visit at which a backward's prefetch is issued) and *what* floats
-# that step combines.  The first concern is pure structure -- every branch that
-# steers the control flow tests event-fired state (``is None``) or placement
-# (``dst_rank != rank``), never a cost value -- so it can be resolved once per
-# schedule and replayed for any number of cost vectors.  That is what a
-# :class:`ScheduleProgram` is: the scalar worklist algorithm traced into a
-# linear instruction stream, and :func:`critical_path_timeline_batch` replays
-# the stream with one ``(B,)``-shaped float64 vector per value.  Each replayed
-# instruction mirrors the scalar arithmetic term for term (``np.maximum`` is
-# IEEE ``max`` elementwise, ``+`` is the same addition, masked byte branches
-# use ``np.where`` so a zero-byte row takes exactly the scalar's skipped-branch
-# value), which keeps every row of the batch bit-identical to a scalar
-# :func:`critical_path_timeline` call on that row's costs -- the fast == event
-# invariant survives per draw, not merely in aggregate.
+# Evaluating a schedule interleaves *which* recurrence step runs next with
+# *what* floats that step combines.  The first is pure structure, resolved once
+# per schedule by :func:`_compile_program`; the two executors below replay its
+# instruction stream, one with plain floats and one with ``(B,)``-shaped float64
+# vectors, in the same operation order -- so the fast == event invariant holds
+# per batch row, not merely in aggregate.
 
-#: Batch-instruction opcodes (trace positions, not schedule ops: a backward's
-#: prefetch issue is its own instruction because the scalar issues it at an
-#: *earlier* visit than the backward's execution when the gradient lags).
+#: Instruction opcodes (stream positions, not schedule ops: a backward's
+#: prefetch issue is its own instruction because it can happen at an *earlier*
+#: point of the stream than the backward itself, when the gradient lags).
 _OP_FORWARD = 0
 _OP_WEIGHT = 1
 _OP_BACKWARD = 2
@@ -523,10 +311,10 @@ _OP_PREFETCH = 4
 
 @dataclass(frozen=True)
 class ScheduleProgram:
-    """A :class:`~repro.sim.schedules.PipelineSchedule` lowered for batching.
+    """A :class:`~repro.sim.schedules.PipelineSchedule` lowered for execution.
 
-    ``instructions`` is the scalar sweep's visit order flattened into a linear
-    stream: ``(opcode, rank, virtual_stage, key, send_key, cross, is_last)``
+    ``instructions`` is the order the recurrence steps run in, flattened into a
+    linear stream: ``(opcode, rank, virtual_stage, key, send_key, cross, is_last)``
     tuples, where ``key = virtual_stage * m + micro_batch`` indexes the
     dependency tables, ``send_key`` is the downstream (forward) or upstream
     (gradient) table slot fed by the op (``-1`` for none) and ``cross`` marks
@@ -539,19 +327,22 @@ class ScheduleProgram:
     schedule: PipelineSchedule
     instructions: Tuple[Tuple[int, int, int, int, int, bool, bool], ...]
 
-    @property
-    def num_instructions(self) -> int:
-        return len(self.instructions)
-
 
 def _compile_program(schedule: PipelineSchedule) -> ScheduleProgram:
-    """Trace the scalar worklist sweep into a linear instruction stream.
+    """Lower a schedule into its linear instruction stream.
 
-    Runs exactly the control flow of :func:`critical_path_timeline` -- same
-    worklist discipline, same break conditions, same first-head-visit prefetch
-    issue -- but tracks only *whether* each dependency event has fired, never
-    a time.  Every branch the scalar takes is decided by that boolean state or
-    by placement, so the trace is valid for every cost vector.
+    The one owner of op order.  A worklist walks the ranks' in-order op lists,
+    tracking only *whether* each dependency event has fired, never a time: a
+    rank runs until its next op's input has not fired yet, and a hand-off to
+    another rank puts that rank back on the worklist.  A backward's prefetch
+    is emitted the first time the backward heads its rank's queue with its
+    forward done (the event engine's first eligible poke).  Every branch is
+    decided by that boolean state or by placement, so the stream is valid for
+    every cost vector.
+
+    Raises:
+        RuntimeError: if the schedule deadlocks (cannot happen for schedules
+            from :func:`~repro.sim.schedules.build_schedule`).
     """
     p = schedule.num_stages
     m = schedule.num_micro_batches
@@ -600,10 +391,10 @@ def _compile_program(schedule: PipelineSchedule) -> ScheduleProgram:
                 if not forward_done[key]:
                     break
                 if not prefetch_issued[key]:
-                    # The scalar issues the prefetch the first time the
-                    # backward heads its rank's queue with the forward done,
-                    # even when the gradient then stalls the visit -- so the
-                    # issue is a trace position of its own.
+                    # Issued the first time the backward heads its rank's
+                    # queue with the forward done, even when the gradient then
+                    # stalls the rank -- so the issue is an instruction of its
+                    # own.
                     prefetch_issued[key] = True
                     instructions.append(
                         (_OP_PREFETCH, rank, virtual_stage, key, -1, False, False)
@@ -640,7 +431,7 @@ def _compile_program(schedule: PipelineSchedule) -> ScheduleProgram:
     return ScheduleProgram(schedule=schedule, instructions=tuple(instructions))
 
 
-@_persistent_lru(maxsize=2048)
+@lru_cache(maxsize=2048)
 def _cached_schedule_program(
     kind: ScheduleKind,
     num_stages: int,
@@ -654,28 +445,162 @@ def _cached_schedule_program(
     return _compile_program(schedule)
 
 
-def compile_schedule_program(schedule: PipelineSchedule) -> ScheduleProgram:
-    """The (memoized) :class:`ScheduleProgram` of a schedule.
+def _structure_key(schedule: PipelineSchedule) -> Optional[tuple]:
+    """The ``(kind, p, m, v, wave ratio)`` cache key of a schedule, if any.
 
-    Canonical current-generation schedules route through an ``lru_cache``
-    keyed on the same ``(kind, p, m, v, wave ratio)`` structure key as
-    :func:`cached_build_schedule` -- the program is cost-free, so all cost
-    batches of a structure share one compile.  Hand-built schedules, and
-    canonical instances surviving a cache clear (their generation stamp is
-    retired), are compiled directly: a stale or custom op list must never
-    alias a cache entry, mirroring :func:`evaluate_schedule`'s routing rule.
+    The key only describes schedules produced by the canonical builder.  A
+    hand-built schedule with custom rank_ops must not alias a canonical cache
+    entry, and neither may a canonical schedule from a *retired* generation
+    (cleared caches refill with fresh instances; a stale stamp must not route
+    its holder through them), so both get ``None`` and are evaluated directly.
     """
     if (
         getattr(schedule, "_canonical", False)
         and getattr(schedule, "_canonical_generation", 0) == _CACHE_GENERATION
     ):
         ratio = schedule.wave_ratio
-        return _cached_schedule_program(
+        return (
             schedule.kind, schedule.num_stages, schedule.num_micro_batches,
-            schedule.num_chunks,
-            None if ratio == UNIT_WAVE_RATIO else ratio,
+            schedule.num_chunks, None if ratio == UNIT_WAVE_RATIO else ratio,
         )
-    return _compile_program(schedule)
+    return None
+
+
+def compile_schedule_program(schedule: PipelineSchedule) -> ScheduleProgram:
+    """The (memoized) :class:`ScheduleProgram` of a schedule.
+
+    Schedules with a :func:`_structure_key` route through an ``lru_cache`` on
+    it -- the program is cost-free, so every cost vector of a structure shares
+    one compile.  Other schedules are compiled directly.
+    """
+    key = _structure_key(schedule)
+    return _compile_program(schedule) if key is None else _cached_schedule_program(*key)
+
+
+def critical_path_timeline(
+    schedule: PipelineSchedule,
+    costs: Union[StageCosts, Sequence[StageCosts]],
+    p2p_bandwidth_bytes_per_s: float = float("inf"),
+    p2p_latency_s: float = 0.0,
+    pcie_bandwidth_bytes_per_s: float = 16e9,
+    record_ops: bool = False,
+) -> PipelineTimeline:
+    """Evaluate a pipeline schedule by longest-path propagation over its DAG.
+
+    Drop-in replacement for :func:`repro.sim.pipeline.simulate_pipeline`
+    returning a bit-identical :class:`~repro.sim.pipeline.PipelineTimeline`
+    (makespan, per-rank busy times, bubble, peak memory) without running the
+    discrete-event engine: the schedule's compiled program runs over one cost
+    vector with plain floats, in the same ``max``/``+`` order as
+    :func:`critical_path_timeline_batch`.  ``records`` are populated only when
+    ``record_ops=True`` (the search never reads them); they come in program
+    order, which is schedule order within each rank -- use
+    :meth:`~repro.sim.pipeline.PipelineTimeline.record` to look ops up.
+
+    Raises:
+        ValueError: on a non-positive or NaN bandwidth, or a negative or NaN
+            latency.
+        RuntimeError: if the schedule deadlocks (cannot happen for schedules
+            from :func:`~repro.sim.schedules.build_schedule`).
+    """
+    per_stage = _normalise_costs(schedule, costs)
+    _check_transfer_parameters(
+        p2p_bandwidth_bytes_per_s, p2p_latency_s, pcie_bandwidth_bytes_per_s,
+    )
+    program = compile_schedule_program(schedule)
+
+    p = schedule.num_stages
+    size = schedule.num_virtual_stages * schedule.num_micro_batches
+    pcie = pcie_bandwidth_bytes_per_s
+    # Durations summed with the event engine's expressions (so the same
+    # floats); transfer terms are ``None`` where the stage moves zero bytes,
+    # as the event engine then skips the transfer outright.
+    forward_dur = [stage.forward_s for stage in per_stage]
+    weight_dur = [stage.split_backward_weight_s for stage in per_stage]
+    fused_dur = [stage.recompute_s + stage.backward_s for stage in per_stage]
+    input_dur = [stage.recompute_s + stage.split_backward_input_s for stage in per_stage]
+    offload = [s.offload_bytes / pcie if s.offload_bytes > 0 else None for s in per_stage]
+    prefetch = [s.prefetch_bytes / pcie if s.prefetch_bytes > 0 else None for s in per_stage]
+    hop = [
+        p2p_latency_s + s.p2p_bytes / p2p_bandwidth_bytes_per_s if s.p2p_bytes > 0 else None
+        for s in per_stage
+    ]
+    # Streams as flat floats (``start = max(earliest, avail); end = start +
+    # duration; busy += duration`` is Stream.submit verbatim), plus each
+    # rank's clock: the latest dependency arrival it has seen, which is the
+    # event engine's ``now`` when it issues the rank's next prefetch.
+    compute_avail, compute_busy, d2h_avail, d2h_busy, h2d_avail, h2d_busy, now = (
+        [0.0] * p for _ in range(7)
+    )
+    # Dependency tables indexed by ``key``; the program reads a slot only
+    # after writing it (stage-0 forwards start ready at 0.0).
+    forward_ready, forward_done, grad_ready = ([0.0] * size for _ in range(3))
+    prefetch_end: List[Optional[float]] = [None] * size
+    records: List[PipelineOpRecord] = []
+    cursor = [0] * p
+
+    for opcode, rank, vs, key, send_key, cross, is_last in program.instructions:
+        if opcode == _OP_PREFETCH:
+            transfer = prefetch[vs]
+            if transfer is not None:
+                issue = max(now[rank], forward_done[key])
+                prefetch_end[key] = h2d_avail[rank] = max(issue, h2d_avail[rank]) + transfer
+                h2d_busy[rank] += transfer
+            continue  # a transfer, not a schedule op: no record
+        avail = compute_avail[rank]
+        if opcode == _OP_FORWARD:
+            earliest = forward_ready[key]
+            if earliest > now[rank]:
+                now[rank] = earliest
+            duration = forward_dur[vs]
+        elif opcode == _OP_WEIGHT:
+            # The event engine submits W at ``max(now, avail)``, but ``now``
+            # only holds dependency arrivals of ops the rank already ran, and
+            # each of those ended after its arrivals: the max *is* ``avail``.
+            earliest = avail
+            duration = weight_dur[vs]
+        else:  # _OP_BACKWARD or _OP_BACKWARD_INPUT
+            forward_end = forward_done[key]
+            # The loss gradient follows the last stage's forward.
+            earliest = forward_end if is_last else max(grad_ready[key], forward_end)
+            if earliest > now[rank]:
+                now[rank] = earliest
+            fetched = prefetch_end[key]
+            if fetched is not None and fetched > earliest:
+                earliest = fetched
+            duration = input_dur[vs] if opcode == _OP_BACKWARD_INPUT else fused_dur[vs]
+        start = earliest if earliest > avail else avail
+        end = start + duration
+        compute_avail[rank] = end
+        compute_busy[rank] += duration
+        if opcode == _OP_FORWARD:
+            forward_done[key] = end
+            transfer = offload[vs]
+            if transfer is not None:
+                d2h_avail[rank] = max(end, d2h_avail[rank]) + transfer
+                d2h_busy[rank] += transfer
+            if send_key >= 0:
+                charge = hop[vs]
+                forward_ready[send_key] = end + charge if cross and charge is not None else end
+        elif send_key >= 0:
+            charge = hop[vs - 1]
+            grad_ready[send_key] = end + charge if cross and charge is not None else end
+        if record_ops:
+            records.append(
+                PipelineOpRecord(schedule.rank_ops[rank][cursor[rank]], start, end)
+            )
+            cursor[rank] += 1
+
+    return PipelineTimeline(
+        schedule=schedule,
+        total_s=max(compute_avail + d2h_avail + h2d_avail),
+        rank_compute_busy_s=compute_busy,
+        rank_d2h_busy_s=d2h_busy,
+        rank_h2d_busy_s=h2d_busy,
+        rank_peak_in_flight=schedule.peak_in_flight(),
+        rank_peak_activation_bytes=peak_activation_bytes(schedule, per_stage),
+        records=records,
+    )
 
 
 @dataclass(frozen=True)
@@ -728,12 +653,9 @@ def critical_path_timeline_batch(
     and an unissued prefetch is ``-inf``, the identity of ``max``).
     """
     schedule = program.schedule
-    if p2p_bandwidth_bytes_per_s <= 0:
-        raise ValueError("p2p_bandwidth_bytes_per_s must be positive")
-    if p2p_latency_s < 0:
-        raise ValueError("p2p_latency_s must be non-negative")
-    if pcie_bandwidth_bytes_per_s <= 0:
-        raise ValueError("pcie_bandwidth_bytes_per_s must be positive")
+    _check_transfer_parameters(
+        p2p_bandwidth_bytes_per_s, p2p_latency_s, pcie_bandwidth_bytes_per_s,
+    )
     rows = [_normalise_costs(schedule, costs) for costs in cost_batch]
     if not rows:
         raise ValueError("cost_batch must hold at least one cost vector")
@@ -761,7 +683,6 @@ def critical_path_timeline_batch(
             offload_bytes[vs, b] = stage.offload_bytes
             prefetch_bytes[vs, b] = stage.prefetch_bytes
             p2p_bytes[vs, b] = stage.p2p_bytes
-    durations = (forward_dur, weight_dur, fused_dur, input_dur)
 
     # Cost-dependent branch state, resolved per stage plane: the scalar's
     # ``bytes > 0`` branches become masks, and planes that are zero across
@@ -792,7 +713,7 @@ def critical_path_timeline_batch(
     h2d_busy = np.zeros((p, batch))
     now: List[np.ndarray] = [zeros_row] * p
     size = num_virtual * m
-    # Dependency tables hold row references; the trace guarantees every read
+    # Dependency tables hold row references; the program guarantees every read
     # slot was written (or is an initial-ready forward), so no ``None`` state
     # survives to execution -- except ``prefetch_end``, whose ``None`` means
     # "no row of the batch ever issues here".
@@ -827,11 +748,7 @@ def critical_path_timeline_batch(
                 else:
                     forward_ready[send_key] = end
         elif opcode == _OP_WEIGHT:
-            # The scalar submits W at ``max(now, avail)``; ``now`` is the max
-            # of dependency arrivals of previously executed ops on the rank,
-            # each of which already lower-bounds ``avail`` (every op ends at
-            # or after its own dependencies), so the submit time *is*
-            # ``avail`` -- no clock read needed.
+            # Submitted at ``avail``, as in the scalar executor.
             duration = weight_dur[vs]
             end = avail[rank] + duration
             avail[rank] = end
@@ -856,8 +773,8 @@ def critical_path_timeline_batch(
             else:
                 earliest = maximum(grad_ready[key], forward_end)
             if track_now:
-                # The scalar folds forward_end and grad into the clock; their
-                # max is ``earliest`` before the prefetch merge.
+                # The event engine folds forward_end and grad into the clock;
+                # their max is ``earliest`` before the prefetch merge.
                 now[rank] = maximum(now[rank], earliest)
             fetched = prefetch_end[key]
             if fetched is not None:
@@ -986,23 +903,10 @@ def evaluate_schedule(
             pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
         )
     per_stage = tuple(_normalise_costs(schedule, costs))
-    # The timeline cache keys on the (kind, p, m, v, wave ratio) structure,
-    # which only describes schedules produced by the canonical builder.  A
-    # hand-built schedule with custom rank_ops must not alias a canonical
-    # cache entry, and neither may a canonical schedule from a *retired*
-    # generation (cleared caches refill with fresh instances; a stale stamp
-    # must not route its holder through them), so both are evaluated
-    # directly.
-    if (
-        getattr(schedule, "_canonical", False)
-        and getattr(schedule, "_canonical_generation", 0) == _CACHE_GENERATION
-    ):
-        ratio = schedule.wave_ratio
+    key = _structure_key(schedule)
+    if key is not None:
         fast = _cached_fast_timeline(
-            schedule.kind, schedule.num_stages, schedule.num_micro_batches,
-            schedule.num_chunks,
-            None if ratio == UNIT_WAVE_RATIO else ratio,
-            per_stage,
+            *key, per_stage,
             p2p_bandwidth_bytes_per_s, p2p_latency_s, pcie_bandwidth_bytes_per_s,
         )
     else:
@@ -1159,10 +1063,8 @@ def clear_fastpath_caches() -> None:
 
     Also advances the cache generation: schedules returned before the clear
     keep their ``_canonical`` marker but their generation stamp is retired,
-    so :func:`evaluate_schedule` stops routing them through the (refilled)
-    timeline cache and :func:`compile_schedule_program` stops routing them
-    through the (refilled) program cache -- previously such survivors could
-    alias instances from a dead generation.
+    so :func:`_structure_key` stops routing them through the refilled
+    timeline and program caches.
     """
     from repro.sim.costs import clear_stage_profile_store
     from repro.sim.failures import clear_failure_arrival_memo
@@ -1178,15 +1080,16 @@ def clear_fastpath_caches() -> None:
 # Cross-run cache persistence (the fleet planner's warm start)
 #
 # The memoized layers above die with the process, so every planner invocation
-# re-derives schedule op lists, compiled programs, timelines and stage
-# profiles another process already computed.  The functions below snapshot
-# those layers to one pickle payload and prime them back -- answer-preserving
-# because every entry is the deterministic builder output for its key, and
-# counter-invisible because priming bypasses the hit/miss statistics the
-# benchmark guards compare exactly.
+# re-derives schedule op lists, timelines and stage profiles another process
+# already computed.  The functions below snapshot those layers to one pickle
+# payload and prime them back -- answer-preserving because every entry is the
+# deterministic builder output for its key, and counter-invisible because
+# priming bypasses the hit/miss statistics the benchmark guards compare
+# exactly.  Compiled programs are not persisted: unpickling one costs about as
+# much as compiling it from its (persisted) schedule.
 
 #: Bump when the payload layout changes; part of the version stamp.
-FASTPATH_CACHE_SCHEMA = 1
+FASTPATH_CACHE_SCHEMA = 2
 
 #: Cached :func:`_cache_version_stamp` result (the stamp hashes source files,
 #: which cannot change under a running process).
@@ -1245,7 +1148,6 @@ def snapshot_fastpath_caches(
 
     layers = {
         "schedules": _cached_build_schedule_inner.entries(),
-        "programs": _cached_schedule_program.entries(),
         "timelines": _cached_fast_timeline.entries(),
         "stage_profiles": stage_profile_store_entries(),
     }
@@ -1268,7 +1170,7 @@ def fastpath_cache_keys() -> Dict[str, set]:
 def prime_fastpath_caches(layers: Dict[str, Dict[tuple, object]]) -> int:
     """Inject snapshot entries into the live caches; returns entries added.
 
-    Schedules (standalone and embedded in programs/timelines) are re-stamped
+    Schedules (standalone and embedded in timelines) are re-stamped
     to the live cache generation, counters stay untouched, and keys already
     resident win -- so priming can only *skip* work, never change an answer.
     """
@@ -1278,9 +1180,6 @@ def prime_fastpath_caches(layers: Dict[str, Dict[tuple, object]]) -> int:
     for key, schedule in layers.get("schedules", {}).items():
         _restamp_schedule(schedule)
         primed += _cached_build_schedule_inner.prime(key, schedule)
-    for key, program in layers.get("programs", {}).items():
-        _restamp_schedule(program.schedule)
-        primed += _cached_schedule_program.prime(key, program)
     for key, timeline in layers.get("timelines", {}).items():
         _restamp_schedule(timeline.schedule)
         primed += _cached_fast_timeline.prime(key, timeline)

@@ -227,6 +227,26 @@ def _normalise_costs(
     return costs
 
 
+def _check_transfer_parameters(
+    p2p_bandwidth_bytes_per_s: float,
+    p2p_latency_s: float,
+    pcie_bandwidth_bytes_per_s: float,
+) -> None:
+    """Reject transfer parameters no pipeline evaluator can time.
+
+    Shared by the event engine and both fast-path executors.  The checks are
+    written as ``not x > 0`` / ``not x >= 0`` so NaN fails them too (every
+    comparison with NaN is False); a bare ``x <= 0`` would let it through and
+    poison every transfer time.
+    """
+    if not p2p_bandwidth_bytes_per_s > 0:
+        raise ValueError("p2p_bandwidth_bytes_per_s must be positive")
+    if not p2p_latency_s >= 0:
+        raise ValueError("p2p_latency_s must be non-negative")
+    if not pcie_bandwidth_bytes_per_s > 0:
+        raise ValueError("pcie_bandwidth_bytes_per_s must be positive")
+
+
 def peak_activation_bytes(
     schedule: PipelineSchedule,
     costs: Union[StageCosts, Sequence[StageCosts]],
@@ -607,12 +627,9 @@ def simulate_pipeline(
             satisfied) -- a validated schedule from ``build_schedule`` cannot.
     """
     per_stage = _normalise_costs(schedule, costs)
-    if p2p_bandwidth_bytes_per_s <= 0:
-        raise ValueError("p2p_bandwidth_bytes_per_s must be positive")
-    if p2p_latency_s < 0:
-        raise ValueError("p2p_latency_s must be non-negative")
-    if pcie_bandwidth_bytes_per_s <= 0:
-        raise ValueError("pcie_bandwidth_bytes_per_s must be positive")
+    _check_transfer_parameters(
+        p2p_bandwidth_bytes_per_s, p2p_latency_s, pcie_bandwidth_bytes_per_s,
+    )
     if engine is None:
         # The executor never reads the event log; skip retaining it so large
         # experiment grids do not hold O(events) garbage per simulation.

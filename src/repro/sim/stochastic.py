@@ -601,7 +601,7 @@ def monte_carlo_timeline(
     than one replica is requested and ``validate`` is off; ``batch=False``
     forces the scalar per-replica loop and ``batch=True`` forces batching.
     The two paths are bit-identical -- every batch row reproduces the
-    scalar sweep's float operations exactly, and under ``ci_halfwidth`` the
+    scalar executor's float operations exactly, and under ``ci_halfwidth`` the
     batched path evaluates chunks (``min_replicas`` first, then doubling)
     but applies the stop test sample by sample in replica order, so it stops
     at exactly the scalar loop's replica and discards any surplus draws of

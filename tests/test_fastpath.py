@@ -3,6 +3,7 @@ the engine's record flag and the once-per-search degenerate-schedule warning."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import pytest
@@ -368,11 +369,12 @@ class TestTimelineCacheReusePin:
         # cost change must miss, the makespan is a function of the costs.
         assert info["timelines"].misses == 2
         assert info["timelines"].hits == 0
-        # ... while the structure-keyed program cache shares one compile.
+        # ... while the structure-keyed program cache shares one compile:
+        # both evaluations and both explicit compiles read the same entry.
         compile_schedule_program(schedule)
         compile_schedule_program(schedule)
         assert fastpath_cache_info()["programs"].misses == 1
-        assert fastpath_cache_info()["programs"].hits == 1
+        assert fastpath_cache_info()["programs"].hits == 3
 
     def test_identical_costs_do_share_a_timeline(self):
         schedule = cached_build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8, 1)
@@ -383,3 +385,75 @@ class TestTimelineCacheReusePin:
         )
         assert first is second
         assert fastpath_cache_info()["timelines"].hits == 1
+
+
+def _batch_timeline(schedule, costs, **kwargs):
+    program = compile_schedule_program(schedule)
+    return critical_path_timeline_batch(
+        program, [[costs] * schedule.num_virtual_stages], **kwargs,
+    )
+
+
+class TestTransferParameterChecks:
+    """Every evaluator rejects NaN transfer parameters instead of returning a
+    NaN (event engine) or silently ignoring them (fast path)."""
+
+    @pytest.mark.parametrize(
+        "evaluate", [simulate_pipeline, critical_path_timeline, _batch_timeline],
+        ids=["event", "scalar", "batch"],
+    )
+    @pytest.mark.parametrize("parameter", [
+        "p2p_bandwidth_bytes_per_s", "p2p_latency_s", "pcie_bandwidth_bytes_per_s",
+    ])
+    def test_nan_transfer_parameter_is_rejected(self, evaluate, parameter):
+        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
+        costs = StageCosts(forward_s=1.0, backward_s=2.0, p2p_bytes=5.0)
+        with pytest.raises(ValueError, match=parameter):
+            evaluate(schedule, costs, **{parameter: math.nan})
+
+
+class TestRecordOpsOnHandBuiltSchedule:
+    def test_records_match_the_event_engine_op_for_op(self):
+        """A non-canonical split-backward order with offload, prefetch and
+        cross-rank hops: every rank's records equal the event engine's, in
+        order, and the uncached compile leaves the program cache untouched."""
+        clear_fastpath_caches()
+        p, m = 3, 4
+
+        def rank_ops(rank):
+            forwards = [StageOp(OpKind.FORWARD, rank, 0, mb, rank) for mb in range(m)]
+            tail = []
+            for mb in reversed(range(m)):
+                tail.append(StageOp(OpKind.BACKWARD_INPUT, rank, 0, mb, rank))
+                if mb % 2 == 0:
+                    tail.append(StageOp(OpKind.BACKWARD_WEIGHT, rank, 0, mb + 1, rank))
+                    tail.append(StageOp(OpKind.BACKWARD_WEIGHT, rank, 0, mb, rank))
+            return tuple(forwards + tail)
+
+        schedule = PipelineSchedule(
+            kind=ScheduleKind.ZB_H1, num_stages=p, num_micro_batches=m,
+            num_chunks=1, rank_ops=tuple(rank_ops(rank) for rank in range(p)),
+        )
+        assert schedule.rank_ops != build_schedule(ScheduleKind.ZB_H1, p, m).rank_ops
+        costs = [
+            StageCosts(
+                forward_s=1.0 + 0.25 * stage, backward_s=2.5 - 0.5 * stage,
+                p2p_bytes=4e6 * (stage + 1), offload_bytes=3e9, prefetch_bytes=5e9,
+                recompute_s=0.125,
+            )
+            for stage in range(p)
+        ]
+        kwargs = dict(
+            p2p_bandwidth_bytes_per_s=1e9, p2p_latency_s=1e-3,
+            pcie_bandwidth_bytes_per_s=2e9,
+        )
+        fast = critical_path_timeline(schedule, costs, record_ops=True, **kwargs)
+        oracle = simulate_pipeline(schedule, costs, **kwargs)
+        assert fast.total_s == oracle.total_s
+        assert len(fast.records) == len(oracle.records) == p * 3 * m
+        for rank in range(p):
+            fast_rank = [record for record in fast.records if record.op.rank == rank]
+            oracle_rank = [record for record in oracle.records if record.op.rank == rank]
+            assert fast_rank == oracle_rank
+        info = fastpath_cache_info()["programs"]
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
