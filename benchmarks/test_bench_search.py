@@ -141,20 +141,21 @@ FLEET_WARM_FLOOR = 2.0
 FLEET_REPEATS = 2
 
 
-def test_smoke_fleet_parallel_warm_speedup(benchmark):
-    """Fleet planning: parallel-warm >= 2x serial-cold, answers bit-identical.
+def test_smoke_fleet_warm_speedup(benchmark):
+    """Fleet planning: warm >= 2x serial writing the cache, answers bit-identical.
 
-    The floor must hold even on a single-core runner: the win comes from the
-    persisted fast-path caches (schedule structures, timelines, stage
-    profiles reused across runs), not from process parallelism -- which is
-    also why parallel-cold is only required to beat serial-cold when the
-    machine actually has more than one core.
+    Every run starts truly cold -- the fast-path caches *and* the wave-order
+    memo ``clear_fastpath_caches()`` leaves warm are cleared -- and runs the
+    grid serially three ways: with no disk cache, writing a fresh disk cache,
+    and warm against the payload the first writing run persisted.  The win
+    comes from the persisted caches (schedule structures, timelines, stage
+    profiles reused across runs), so the floor holds on any core count.
     """
-    import os
     import tempfile
     from pathlib import Path
 
     from repro.fleet import WorkloadGrid, plan_fleet
+    from repro.sim.schedules import _selected_wave_order
 
     grid = WorkloadGrid.from_spec({
         "axes": {"model": [MODEL], "seqlen_k": [SEQLEN_K], "gpus": [16],
@@ -162,57 +163,53 @@ def test_smoke_fleet_parallel_warm_speedup(benchmark):
     })
 
     def drive():
+        seconds = {"no_cache": float("inf"), "writing": float("inf"),
+                   "warm": float("inf")}
+        reports = {}
+
+        def timed(arm, **kwargs):
+            clear_fastpath_caches()
+            _selected_wave_order.cache_clear()
+            started = time.perf_counter()
+            report = plan_fleet(grid, **kwargs)
+            elapsed = time.perf_counter() - started
+            if elapsed < seconds[arm]:
+                seconds[arm] = elapsed
+                reports[arm] = report
+
         with tempfile.TemporaryDirectory(prefix="bench-fleet-") as root:
             warm_dir = Path(root) / "warm"
-            serial_s = cold_s = warm_s = float("inf")
-            serial = warm = None
             for repeat in range(FLEET_REPEATS):
-                clear_fastpath_caches()
-                started = time.perf_counter()
-                report = plan_fleet(grid, workers=1,
-                                    cache_dir=warm_dir if repeat == 0
-                                    else Path(root) / f"serial-{repeat}")
-                if time.perf_counter() - started < serial_s:
-                    serial_s = time.perf_counter() - started
-                    serial = report
-                clear_fastpath_caches()
-                started = time.perf_counter()
-                report = plan_fleet(grid, workers=2,
-                                    cache_dir=Path(root) / f"cold-{repeat}")
-                cold_s = min(cold_s, time.perf_counter() - started)
+                timed("no_cache", use_disk_cache=False)
+                timed("writing", cache_dir=warm_dir if repeat == 0
+                      else Path(root) / f"writing-{repeat}")
             for _ in range(FLEET_REPEATS):
-                clear_fastpath_caches()
-                started = time.perf_counter()
-                report = plan_fleet(grid, workers=2, cache_dir=warm_dir)
-                if time.perf_counter() - started < warm_s:
-                    warm_s = time.perf_counter() - started
-                    warm = report
+                timed("warm", cache_dir=warm_dir)
             clear_fastpath_caches()
             standalone = [
                 grid.search.build_system().run(point.workload())
                 for point in grid.points
             ]
-        return serial_s, cold_s, warm_s, serial, warm, standalone
+        return seconds, reports, standalone
 
-    serial_s, cold_s, warm_s, serial, warm, standalone = run_once(benchmark, drive)
+    seconds, reports, standalone = run_once(benchmark, drive)
+    warm = reports["warm"]
 
     print(f"\n=== fleet planning: {len(grid.points)} points "
           f"({MODEL}, {SEQLEN_K}K, 16 GPUs) ===")
-    print(f"serial-cold {serial_s:.2f}s, parallel-cold {cold_s:.2f}s, "
-          f"parallel-warm {warm_s:.2f}s ({serial_s / warm_s:.1f}x warm, "
+    print(f"no cache {seconds['no_cache']:.2f}s, writing the cache "
+          f"{seconds['writing']:.2f}s, warm {seconds['warm']:.2f}s "
+          f"({seconds['writing'] / seconds['warm']:.1f}x warm, "
           f"{warm.loaded_entries} cache entries loaded)")
 
-    # Every driver reproduces the standalone single-workload answers exactly.
+    # Every run reproduces the standalone single-workload answers exactly.
     for index, reference in enumerate(standalone):
-        for report in (serial, warm):
+        for report in reports.values():
             outcome = report.outcomes[index]
             assert outcome.ok
             assert outcome.report.parallel == reference.parallel
             assert outcome.report.iteration_time_s == reference.iteration_time_s
-    # The disk cache actually primed the warm run, and the warmth pays: the
-    # CI-enforced floor of the PR.
+    # The disk cache actually primed the warm run, and the warmth pays.
+    assert reports["no_cache"].loaded_entries == reports["no_cache"].saved_entries == 0
     assert warm.loaded_entries > 0
-    assert serial_s / warm_s >= FLEET_WARM_FLOOR
-    # Parallelism itself must help wherever it can.
-    if (os.cpu_count() or 1) > 1:
-        assert cold_s <= serial_s
+    assert seconds["writing"] / seconds["warm"] >= FLEET_WARM_FLOOR

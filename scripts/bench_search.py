@@ -20,13 +20,12 @@ Runs the same reference workload through four search configurations:
   same bit-for-bit guard as the stochastic arm.
 
 A sixth arm benchmarks the **fleet planner** (``repro plan-fleet``): the same
-small workload grid through three drivers -- serial with cold caches,
-parallel (2 workers) with cold caches, and parallel against the disk cache a
-previous run persisted.  Every per-point strategy and iteration time must be
-bit-identical across the three drivers *and* to a standalone single-workload
-search; parallel-warm must be at least 2x serial-cold (the warmth wins even
-on a single core, where parallelism itself cannot), and parallel-cold must
-beat serial-cold when the machine has more than one core.  The arm runs
+small workload grid planned three ways, each run truly cold (the fast-path
+caches *and* the wave-order memo cleared) -- with no disk cache, writing a
+fresh disk cache, and warm against the payload a previous run persisted.
+Every per-point strategy and iteration time must be bit-identical across the
+three runs *and* to a standalone single-workload search, and the warm run
+must be at least 2x faster than the run writing the cache.  The arm runs
 last, alongside the Monte-Carlo arm, so its cache traffic never perturbs the
 deterministic arms' counter guards.
 
@@ -95,23 +94,24 @@ MC_STAGES = 4
 MC_MICRO_BATCHES = 64
 
 #: The fleet arm's grid: one production-sized workload swept over global
-#: batches, so each point's schedule sweep is heavy enough that cache warmth
-#: (not process parallelism) decides the parallel-warm floor -- the floor
-#: must hold on single-core CI runners too.
+#: batches, so each point's schedule sweep is heavy enough for cache warmth
+#: to decide the warm floor.
 FLEET_GLOBAL_BATCHES = (256, 512, 1024, 2048)
 FLEET_WARM_FLOOR = 2.0
 
 
 def run_fleet_arm(spec: dict, repeats: int) -> dict:
-    """Serial-cold vs parallel-cold vs parallel-warm fleet planning.
+    """Serial fleet planning: no disk cache vs writing the cache vs warm.
 
-    Cold sub-arms get a fresh cache directory per run; the warm sub-arm
-    replans against the payload the first serial-cold run persisted.  All
-    three must agree bit-for-bit with standalone single-workload searches.
+    Every run clears the fast-path caches and the wave-order memo first, so
+    "cold" means cold.  Writing runs get a fresh cache directory each; the
+    warm runs replan against the payload the first writing run persisted.
+    All three must agree bit-for-bit with standalone single-workload searches.
     """
     import tempfile
 
     from repro.fleet import WorkloadGrid, plan_fleet
+    from repro.sim.schedules import _selected_wave_order
 
     grid = WorkloadGrid.from_spec({
         "axes": {
@@ -121,65 +121,58 @@ def run_fleet_arm(spec: dict, repeats: int) -> dict:
             "global_batch": list(FLEET_GLOBAL_BATCHES),
         },
     })
+    seconds = {"no_cache": float("inf"), "writing": float("inf"),
+               "warm": float("inf")}
+    reports = {}
+
+    def timed(arm: str, **kwargs) -> None:
+        clear_fastpath_caches()
+        _selected_wave_order.cache_clear()
+        started = time.perf_counter()
+        report = plan_fleet(grid, **kwargs)
+        elapsed = time.perf_counter() - started
+        if elapsed < seconds[arm]:
+            seconds[arm] = elapsed
+            reports[arm] = report
 
     with tempfile.TemporaryDirectory(prefix="bench-fleet-") as root:
-        serial_seconds = parallel_cold_seconds = parallel_warm_seconds = float("inf")
-        serial = parallel_cold = parallel_warm = None
         warm_dir = Path(root) / "warm"
         for repeat in range(repeats):
-            clear_fastpath_caches()
-            started = time.perf_counter()
-            report = plan_fleet(grid, workers=1,
-                                cache_dir=warm_dir if repeat == 0
-                                else Path(root) / f"cold-serial-{repeat}")
-            if time.perf_counter() - started < serial_seconds:
-                serial_seconds = time.perf_counter() - started
-                serial = report
-
-            clear_fastpath_caches()
-            started = time.perf_counter()
-            report = plan_fleet(grid, workers=2,
-                                cache_dir=Path(root) / f"cold-parallel-{repeat}")
-            if time.perf_counter() - started < parallel_cold_seconds:
-                parallel_cold_seconds = time.perf_counter() - started
-                parallel_cold = report
-
+            timed("no_cache", use_disk_cache=False)
+            timed("writing", cache_dir=warm_dir if repeat == 0
+                  else Path(root) / f"writing-{repeat}")
         for _ in range(repeats):
-            clear_fastpath_caches()
-            started = time.perf_counter()
-            report = plan_fleet(grid, workers=2, cache_dir=warm_dir)
-            if time.perf_counter() - started < parallel_warm_seconds:
-                parallel_warm_seconds = time.perf_counter() - started
-                parallel_warm = report
+            timed("warm", cache_dir=warm_dir)
 
-        # Ground truth: standalone single-workload searches, cold caches.
-        clear_fastpath_caches()
-        bit_identical = True
-        for index, point in enumerate(grid.points):
-            standalone = grid.search.build_system().run(point.workload())
-            for report in (serial, parallel_cold, parallel_warm):
-                outcome = report.outcomes[index]
-                if (not outcome.ok
-                        or outcome.report.parallel != standalone.parallel
-                        or outcome.report.iteration_time_s
-                        != standalone.iteration_time_s):
-                    bit_identical = False
+    # Ground truth: standalone single-workload searches, cold caches.
+    clear_fastpath_caches()
+    bit_identical = True
+    for index, point in enumerate(grid.points):
+        standalone = grid.search.build_system().run(point.workload())
+        for report in reports.values():
+            outcome = report.outcomes[index]
+            if (not outcome.ok
+                    or outcome.report.parallel != standalone.parallel
+                    or outcome.report.iteration_time_s
+                    != standalone.iteration_time_s):
+                bit_identical = False
 
-    warm_speedup = (serial_seconds / parallel_warm_seconds
-                    if parallel_warm_seconds > 0 else float("inf"))
+    warm = seconds["warm"]
     return {
         "grid": {"model": spec["model"], "seqlen_k": spec["seqlen_k"],
                  "gpus": spec["gpus"],
                  "global_batches": list(FLEET_GLOBAL_BATCHES)},
         "points": len(grid.points),
-        "serial_cold_seconds": round(serial_seconds, 4),
-        "parallel_cold_seconds": round(parallel_cold_seconds, 4),
-        "parallel_warm_seconds": round(parallel_warm_seconds, 4),
-        "parallel_warm_speedup": round(warm_speedup, 2),
-        "cache_entries_saved": serial.saved_entries,
-        "cache_entries_loaded_warm": parallel_warm.loaded_entries,
+        "wave_order_memo_cleared": True,
+        "serial_no_cache_seconds": round(seconds["no_cache"], 4),
+        "serial_writing_cache_seconds": round(seconds["writing"], 4),
+        "serial_warm_seconds": round(warm, 4),
+        "warm_speedup": round(seconds["writing"] / warm, 2),
+        "warm_speedup_vs_no_cache": round(seconds["no_cache"] / warm, 2),
+        "cache_entries_saved": reports["writing"].saved_entries,
+        "cache_entries_loaded_warm": reports["warm"].loaded_entries,
         "bit_identical": bit_identical,
-        "warnings_collated": len(serial.warnings),
+        "warnings_collated": len(reports["writing"].warnings),
         "cpu_count": os.cpu_count(),
     }
 
@@ -370,11 +363,11 @@ def main(argv=None) -> int:
           f"{monte_carlo['batched_replicas_per_s']}/s, speedup "
           f"{monte_carlo['speedup']}x, bit-identical: "
           f"{monte_carlo['bit_identical']}")
-    print(f"  fleet ({fleet['points']} points): serial-cold "
-          f"{fleet['serial_cold_seconds']:.2f}s, parallel-cold "
-          f"{fleet['parallel_cold_seconds']:.2f}s, parallel-warm "
-          f"{fleet['parallel_warm_seconds']:.2f}s "
-          f"({fleet['parallel_warm_speedup']}x warm speedup, "
+    print(f"  fleet ({fleet['points']} points, serial): no cache "
+          f"{fleet['serial_no_cache_seconds']:.2f}s, writing the cache "
+          f"{fleet['serial_writing_cache_seconds']:.2f}s, warm "
+          f"{fleet['serial_warm_seconds']:.2f}s "
+          f"({fleet['warm_speedup']}x warm speedup, "
           f"{fleet['cache_entries_loaded_warm']} cache entries loaded), "
           f"bit-identical: {fleet['bit_identical']}")
     print(f"  wrote {args.output}")
@@ -415,19 +408,14 @@ def main(argv=None) -> int:
               f"(got {monte_carlo['speedup']}x)", file=sys.stderr)
         return 1
     if not fleet["bit_identical"]:
-        print("FAIL: a fleet driver (serial-cold, parallel-cold or "
-              "parallel-warm) diverged from the standalone single-workload "
-              "search", file=sys.stderr)
+        print("FAIL: a fleet run (no cache, writing the cache or warm) "
+              "diverged from the standalone single-workload search",
+              file=sys.stderr)
         return 1
-    if fleet["parallel_warm_speedup"] < FLEET_WARM_FLOOR:
-        print("FAIL: parallel-warm fleet planning is below "
-              f"{FLEET_WARM_FLOOR}x serial-cold "
-              f"(got {fleet['parallel_warm_speedup']}x)", file=sys.stderr)
-        return 1
-    if (fleet["cpu_count"] or 1) > 1 and (
-            fleet["parallel_cold_seconds"] > fleet["serial_cold_seconds"]):
-        print("FAIL: parallel-cold fleet planning slower than serial-cold "
-              "on a multi-core machine", file=sys.stderr)
+    if fleet["warm_speedup"] < FLEET_WARM_FLOOR:
+        print("FAIL: warm fleet planning is below "
+              f"{FLEET_WARM_FLOOR}x the run writing the cache "
+              f"(got {fleet['warm_speedup']}x)", file=sys.stderr)
         return 1
     return 0
 

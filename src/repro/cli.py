@@ -13,7 +13,7 @@ Usage::
     python -m repro.cli figure6
     python -m repro.cli figure11a
     python -m repro.cli convergence
-    python -m repro.cli plan-fleet --grid examples/fleet_grid.json --workers 4
+    python -m repro.cli plan-fleet --grid examples/fleet_grid.json
 
 Each experiment subcommand prints the regenerated table or an ASCII rendering
 of the figure's series; ``plan-fleet`` emits a machine-readable JSON report.
@@ -242,13 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan_fleet = subparsers.add_parser(
         "plan-fleet",
-        help="batch strategy search over a workload grid (parallel, disk-cached)",
+        help="batch strategy search over a workload grid (disk-cached)",
     )
     plan_fleet.add_argument("--grid", required=True, metavar="FILE",
                             help="grid spec file (.json, or .yaml with PyYAML); "
                                  "see docs/fleet-planner.md for the grammar")
-    plan_fleet.add_argument("--workers", type=int, default=1,
-                            help="worker processes (<=1 runs in-process)")
     plan_fleet.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="cross-run cache directory "
                                  "(default ~/.cache/repro-planner)")
@@ -787,9 +785,6 @@ def _command_convergence(args) -> int:
 def _command_plan_fleet(args) -> int:
     from repro.fleet import GridSpecError, WorkloadGrid, plan_fleet
 
-    if args.workers < 0:
-        print(f"error: --workers must be >= 0 (got {args.workers})", file=sys.stderr)
-        return 2
     try:
         grid = WorkloadGrid.from_file(args.grid)
     except FileNotFoundError:
@@ -806,7 +801,6 @@ def _command_plan_fleet(args) -> int:
 
     report = plan_fleet(
         grid,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         use_disk_cache=not args.no_cache,
         progress=progress,

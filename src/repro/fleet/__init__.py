@@ -3,11 +3,11 @@
 Turns the single-workload planner into a service-shaped subsystem: a
 :class:`~repro.fleet.grid.WorkloadGrid` expands a JSON/YAML spec into
 deterministic, deduplicated workload points; :func:`~repro.fleet.planner.plan_fleet`
-fans the points out over worker processes with per-point error capture; a
+plans them one after another in-process, with per-point error capture; a
 disk-backed cache (``repro.sim.fastpath.save_fastpath_caches`` /
 ``load_fastpath_caches``) keeps schedule structures, timelines and stage
 profiles warm across runs.  Every per-point answer is bit-identical to a
-standalone single-workload search -- cold, warm or parallel.
+standalone single-workload search -- cold or warm.
 """
 
 from repro.fleet.grid import (

@@ -49,8 +49,7 @@ class GridSpecError(ValueError):
 
 
 #: Training systems a grid may plan for.  Resolved lazily (the value is the
-#: class path inside :mod:`repro.systems`) to keep this module import-light
-#: for the worker processes.
+#: class path inside :mod:`repro.systems`) to keep this module import-light.
 SYSTEM_NAMES: Tuple[str, ...] = ("megatron", "memo", "deepspeed")
 
 _AXIS_KEYS = ("model", "seqlen_k", "sequence_length", "gpus", "global_batch")

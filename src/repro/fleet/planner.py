@@ -1,29 +1,24 @@
-"""The fleet driver: fan a workload grid out over processes, stay warm on disk.
+"""The fleet driver: plan a workload grid point by point, stay warm on disk.
 
 :func:`plan_fleet` runs one full ``pipeline_schedule="auto"`` strategy search
-per grid point and collates the answers into a :class:`FleetReport`.  Three
-properties the tests pin down:
+per grid point, in-process and in grid order, and collates the answers into a
+:class:`FleetReport`.  Three properties the tests pin down:
 
 * **bit-identity** -- every per-point strategy and iteration time equals a
   standalone single-workload run of the same training system: the disk cache
   only decides whether schedule structures are rebuilt or reused (entries are
-  pure functions of their keys), worker processes run the same code on the
-  same inputs, and results are collated by point index, so neither warmth,
-  worker count nor completion order can change an answer;
+  pure functions of their keys), so warmth cannot change an answer;
 * **per-point error capture** -- an infeasible or crashing point records its
   error string in its row; the remaining points still run and the report
   still collates deterministically;
-* **warning collation** -- workers capture warnings instead of emitting them
-  (``deduplicated_degenerate_warnings`` dedupes only within one process, so a
-  grid used to repeat the same degenerate-schedule warning once per worker);
-  the report carries one deduplicated list, in point order.
+* **warning collation** -- each point's warnings are captured instead of
+  emitted; the report carries one deduplicated list, in point order.
 
-Cache flow: the parent loads the persisted payload once (the report's
-``loaded_entries``), workers load the same payload at start, each task ships
-the *delta* its point added back to the parent, and the parent merges
-everything into one atomic save at the end -- so normal operation has a
-single writer, while concurrent planner invocations still only race atomic
-``os.replace`` calls (last writer wins a complete payload; the loser's
+Cache flow: the run loads the persisted payload once (the report's
+``loaded_entries``), consecutive points share the live caches, and one atomic
+save at the end persists everything.  The save merges whatever another
+invocation persisted since the load, and concurrent invocations only race
+atomic ``os.replace`` calls (last writer wins a complete payload; the loser's
 entries are re-derived on the next warm run).
 """
 
@@ -33,7 +28,6 @@ import os
 import time
 import traceback
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -41,9 +35,7 @@ from repro.fleet.grid import SearchSettings, WorkloadGrid, WorkloadPoint
 from repro.jsonutil import dumps_stable, hex_float
 from repro.sim.fastpath import (
     fastpath_cache_info,
-    fastpath_cache_keys,
     load_fastpath_caches,
-    prime_fastpath_caches,
     save_fastpath_caches,
     snapshot_fastpath_caches,
 )
@@ -75,7 +67,7 @@ class PointOutcome:
     duration_s: float = 0.0
     warnings: Tuple[str, ...] = ()
     #: Per-layer ``(hits, misses)`` deltas of the fast-path caches over this
-    #: point's search, as observed in the process that ran it.
+    #: point's search.
     cache_counters: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -118,12 +110,10 @@ class FleetReport:
 
     grid: WorkloadGrid
     outcomes: Tuple[PointOutcome, ...]
-    workers: int
     cache_path: Optional[str]
     loaded_entries: int
     saved_entries: int
-    #: Warning messages deduplicated across every point and worker, in point
-    #: order -- the fleet-level fix for per-process warning dedup.
+    #: Warning messages deduplicated across every point, in point order.
     warnings: Tuple[str, ...] = ()
 
     @property
@@ -132,9 +122,8 @@ class FleetReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "search": self.grid.search.to_json_dict(),
-            "workers": self.workers,
             "cache": {
                 "path": self.cache_path,
                 "loaded_entries": self.loaded_entries,
@@ -184,42 +173,10 @@ def _search_point(point: WorkloadPoint, search: SearchSettings) -> PointOutcome:
     return outcome
 
 
-# ---------------------------------------------------------------- worker side
+def _resident_entries() -> int:
+    """Entries held by the persisted fast-path cache layers right now."""
+    return sum(len(entries) for entries in snapshot_fastpath_caches().values())
 
-def _init_worker(cache_path: Optional[str]) -> None:
-    """Worker-process start: make sure the disk payload's warmth is resident.
-
-    Under the fork start method (Linux default) the worker inherits the
-    parent's caches -- which the parent just primed from the same payload --
-    so re-deserialising the pickle here would only burn startup time.  Under
-    spawn the worker starts empty and loads the payload itself.  Either way
-    the cache only decides whether structures are rebuilt or reused, so the
-    per-point answers are identical.
-    """
-    if not cache_path:
-        return
-    resident = sum(info.currsize for info in fastpath_cache_info().values())
-    if resident == 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            load_fastpath_caches(cache_path)
-
-
-def _run_point_task(
-    args: Tuple[int, WorkloadPoint, SearchSettings],
-) -> Tuple[int, PointOutcome, Dict[str, Dict[tuple, object]]]:
-    """Executor task: one point, returning (index, outcome, cache delta).
-
-    The delta is the cache entries the search added, shipped back for the
-    parent to prime; the in-process serial path has no use for one.
-    """
-    index, point, search = args
-    baseline = fastpath_cache_keys()
-    outcome = _search_point(point, search)
-    return index, outcome, snapshot_fastpath_caches(baseline)
-
-
-# ---------------------------------------------------------------- the driver
 
 def plan_fleet(
     grid: WorkloadGrid,
@@ -228,72 +185,48 @@ def plan_fleet(
     use_disk_cache: bool = True,
     progress: Optional[Callable[[PointOutcome], None]] = None,
 ) -> FleetReport:
-    """Plan every point of a workload grid; warm, concurrent, deterministic.
+    """Plan every point of a workload grid in order; warm and deterministic.
 
     Args:
         grid: the expanded workload grid (points + shared search settings).
-        workers: worker processes; ``<= 1`` runs every point in-process (the
-            parent's caches then serve consecutive points directly).
+        workers: must be 0 or 1 -- points always run in-process, one after
+            another, so consecutive points share the live caches.
         cache_dir: directory of the cross-run cache payload
             (``~/.cache/repro-planner`` by default).
         use_disk_cache: when False, neither loads nor saves the payload --
             each invocation is a pure cold start.
         progress: optional callback invoked with each :class:`PointOutcome`
-            as it completes (completion order, *not* point order).
+            as it completes, in grid-point order.
 
     Returns:
-        A :class:`FleetReport` with outcomes in grid-point order regardless
-        of worker scheduling.
+        A :class:`FleetReport` with outcomes in grid-point order.
     """
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
+    if workers not in (0, 1):
+        raise ValueError(
+            f"workers must be 0 or 1 (got {workers}): points run in-process"
+        )
     cache_path = resolve_cache_path(cache_dir) if use_disk_cache else None
     loaded = 0
     loaded_stat: Optional[Tuple[int, int]] = None
     resident_after_load = 0
     if cache_path:
-        loaded = load_fastpath_caches(cache_path)
-        resident_after_load = sum(
-            len(keys) for keys in fastpath_cache_keys().values()
-        )
+        # Stat before loading: a save landing in between then reads as a
+        # changed file (an extra merge), never as an unchanged one whose
+        # entries the final save could drop.
         try:
             stat = os.stat(cache_path)
             loaded_stat = (stat.st_mtime_ns, stat.st_size)
         except OSError:
             loaded_stat = None
+        loaded = load_fastpath_caches(cache_path)
+        resident_after_load = _resident_entries()
 
-    indexed = list(enumerate(grid.points))
-    collated: Dict[int, PointOutcome] = {}
-
-    if workers <= 1:
-        for index, point in indexed:
-            outcome = _search_point(point, grid.search)
-            collated[index] = outcome
-            if progress is not None:
-                progress(outcome)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(cache_path,),
-        ) as pool:
-            pending = {
-                pool.submit(_run_point_task, (index, point, grid.search))
-                for index, point in indexed
-            }
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, outcome, delta = future.result()
-                    collated[index] = outcome
-                    # Merge the worker's new entries into the parent caches:
-                    # they join the end-of-run save, and the parent can serve
-                    # them to later in-process work.
-                    prime_fastpath_caches(delta)
-                    if progress is not None:
-                        progress(outcome)
-
-    outcomes = tuple(collated[index] for index in range(len(indexed)))
+    outcomes = []
+    for point in grid.points:
+        outcome = _search_point(point, grid.search)
+        outcomes.append(outcome)
+        if progress is not None:
+            progress(outcome)
 
     saved = 0
     if cache_path:
@@ -309,8 +242,7 @@ def plan_fleet(
                 file_unchanged = (stat.st_mtime_ns, stat.st_size) == loaded_stat
             except OSError:
                 file_unchanged = False
-        resident = sum(len(keys) for keys in fastpath_cache_keys().values())
-        if file_unchanged and resident == resident_after_load:
+        if file_unchanged and _resident_entries() == resident_after_load:
             saved = loaded
         else:
             saved = save_fastpath_caches(cache_path, merge=not file_unchanged)
@@ -325,8 +257,7 @@ def plan_fleet(
 
     return FleetReport(
         grid=grid,
-        outcomes=outcomes,
-        workers=workers,
+        outcomes=tuple(outcomes),
         cache_path=cache_path,
         loaded_entries=loaded,
         saved_entries=saved,

@@ -1135,36 +1135,15 @@ def _restamp_schedule(schedule: PipelineSchedule) -> None:
     object.__setattr__(schedule, "_canonical_generation", _CACHE_GENERATION)
 
 
-def snapshot_fastpath_caches(
-    baseline: Optional[Dict[str, set]] = None,
-) -> Dict[str, Dict[tuple, object]]:
-    """Export the live cache entries (optionally only keys not in ``baseline``).
-
-    ``baseline`` maps layer name to the key set to exclude -- the fleet
-    workers use it to ship only the entries a task *added* back to the
-    parent instead of re-serialising the whole warm cache per point.
-    """
+def snapshot_fastpath_caches() -> Dict[str, Dict[tuple, object]]:
+    """Export the live entries of every persisted cache layer, by layer name."""
     from repro.sim.costs import stage_profile_store_entries
 
-    layers = {
+    return {
         "schedules": _cached_build_schedule_inner.entries(),
         "timelines": _cached_fast_timeline.entries(),
         "stage_profiles": stage_profile_store_entries(),
     }
-    if baseline:
-        for name, known in baseline.items():
-            if name in layers:
-                layers[name] = {
-                    key: value for key, value in layers[name].items()
-                    if key not in known
-                }
-    return layers
-
-
-def fastpath_cache_keys() -> Dict[str, set]:
-    """The live key sets per layer (the ``baseline`` for delta snapshots)."""
-    return {name: set(entries) for name, entries in
-            snapshot_fastpath_caches().items()}
 
 
 def prime_fastpath_caches(layers: Dict[str, Dict[tuple, object]]) -> int:

@@ -4,13 +4,14 @@ The contracts under test:
 
 * grid expansion is deterministic, deduplicated and strictly validated
   (unknown keys, empty grids and bad values are :class:`GridSpecError`);
-* every fleet answer -- cold, warm, serial or parallel -- is bit-identical
-  to a fresh standalone single-workload run of the same training system;
+* every fleet answer -- cold or warm -- is bit-identical to a fresh
+  standalone single-workload run of the same training system;
 * the disk cache degrades, never breaks: corrupted payloads, payloads from
   a different code version, concurrent writers and unwritable cache
-  directories all fall back to a warned cold start with unchanged answers;
+  directories all fall back to a warned cold start with unchanged answers,
+  and a save landing during a run's load is merged, never dropped;
 * warnings raised inside point searches are collated (deduplicated, point
-  order) in the fleet report instead of being re-emitted once per worker.
+  order) in the fleet report instead of being emitted to the caller.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class TestGridExpansion:
 # ------------------------------------------------- bit-identity of the fleet
 
 class TestFleetBitIdentity:
-    def test_cold_warm_parallel_match_standalone(self, tmp_path):
+    def test_cold_warm_match_standalone(self, tmp_path):
         grid = small_grid()
         cold = plan_fleet(grid, workers=1, cache_dir=tmp_path)
         assert cold.loaded_entries == 0 and cold.saved_entries > 0
@@ -161,12 +162,9 @@ class TestFleetBitIdentity:
         assert warm.loaded_entries == cold.saved_entries
 
         clear_fastpath_caches()
-        parallel = plan_fleet(grid, workers=2, cache_dir=tmp_path)
-
-        clear_fastpath_caches()
         for index, point in enumerate(grid.points):
             reference = grid.search.build_system().run(point.workload())
-            for report in (cold, warm, parallel):
+            for report in (cold, warm):
                 outcome = report.outcomes[index]
                 assert outcome.ok and outcome.error is None
                 assert outcome.point == point
@@ -186,11 +184,13 @@ class TestFleetBitIdentity:
     def test_outcomes_in_grid_order_with_progress(self, tmp_path):
         grid = small_grid()
         completed = []
-        report = plan_fleet(grid, workers=2, cache_dir=tmp_path,
+        report = plan_fleet(grid, cache_dir=tmp_path,
                             progress=completed.append)
         assert [o.point for o in report.outcomes] == list(grid.points)
-        assert sorted(o.point.label() for o in completed) == sorted(
-            p.label() for p in grid.points)
+        # Progress arrives in point order, one call per collated outcome.
+        assert len(completed) == len(report.outcomes)
+        assert all(seen is outcome
+                   for seen, outcome in zip(completed, report.outcomes))
 
     def test_per_point_error_capture(self, tmp_path):
         bad = WorkloadPoint("999B", tokens(16), 8, 16)
@@ -207,38 +207,38 @@ class TestFleetBitIdentity:
         row = bad_outcome.to_json_dict()
         assert row["ok"] is False and row["strategy"] is None
 
-    def test_serial_path_builds_no_cache_deltas(self, tmp_path, monkeypatch):
-        """Only worker tasks ship cache deltas: the in-process serial path
-        never scans the caches for a point.  With the disk cache the
-        invocation itself counts resident entries twice (after the load and
-        before the save), however many points the grid has."""
+    def test_points_never_scan_the_caches(self, tmp_path, monkeypatch):
+        """No point snapshots the caches.  Without the disk cache an
+        invocation never scans them.  With it, the invocation counts resident
+        entries after the load and, only when the file is unchanged since
+        then, once more before the save -- however many points the grid has."""
         import repro.fleet.planner as planner_mod
 
-        calls = {"fastpath_cache_keys": 0, "snapshot_fastpath_caches": 0}
-
-        def counting(name):
-            original = getattr(planner_mod, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(planner_mod, name, counting(name))
+        scans = []
+        snapshot = planner_mod.snapshot_fastpath_caches
+        monkeypatch.setattr(planner_mod, "snapshot_fastpath_caches",
+                            lambda: scans.append(1) or snapshot())
 
         grid = small_grid()
-        report = plan_fleet(grid, workers=1, use_disk_cache=False)
+        report = plan_fleet(grid, use_disk_cache=False)
         assert all(outcome.ok for outcome in report.outcomes)
-        assert calls == {"fastpath_cache_keys": 0, "snapshot_fastpath_caches": 0}
+        assert len(scans) == 0
 
-        report = plan_fleet(grid, workers=1, cache_dir=tmp_path)
+        # Cold: no file was loaded, so the save needs no second count.
+        report = plan_fleet(grid, cache_dir=tmp_path)
         assert len(report.outcomes) == 2
-        assert calls == {"fastpath_cache_keys": 2, "snapshot_fastpath_caches": 0}
+        assert len(scans) == 1
 
-    def test_workers_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            plan_fleet(small_grid(), workers=-1)
+        # Warm and unchanged: the second count proves there is nothing to save.
+        clear_fastpath_caches()
+        report = plan_fleet(grid, cache_dir=tmp_path)
+        assert report.saved_entries == report.loaded_entries > 0
+        assert len(scans) == 3
+
+    @pytest.mark.parametrize("workers", [-1, 2, 4])
+    def test_workers_must_be_zero_or_one(self, workers):
+        with pytest.raises(ValueError, match="in-process"):
+            plan_fleet(small_grid(), workers=workers)
 
 
 # ------------------------------------------------------ disk-cache robustness
@@ -254,7 +254,6 @@ class TestDiskCacheRobustness:
         grid = small_grid()
         reference = plan_fleet(grid, workers=1, cache_dir=tmp_path)
         cache_file = resolve_cache_path(tmp_path)
-        cache_file_bytes = os.path.getsize(cache_file)
         with open(cache_file, "wb") as handle:
             handle.write(b"\x80garbage" * 128)
 
@@ -263,10 +262,10 @@ class TestDiskCacheRobustness:
             report = plan_fleet(grid, workers=1, cache_dir=tmp_path)
         assert report.loaded_entries == 0
         assert _answers(report) == _answers(reference)
-        # The run healed the cache: a full payload was re-persisted.
+        # The run healed the cache: a full, loadable payload was re-persisted.
         assert report.saved_entries > 0
-        assert os.path.getsize(cache_file) != len(b"\x80garbage" * 128) or \
-            os.path.getsize(cache_file) == cache_file_bytes
+        clear_fastpath_caches()
+        assert load_fastpath_caches(cache_file) == report.saved_entries
 
     def test_truncated_pickle_is_warned_cold_start(self, tmp_path):
         grid = small_grid()
@@ -327,6 +326,47 @@ class TestDiskCacheRobustness:
         with warnings.catch_warnings():
             warnings.simplefilter("error", FastpathCacheWarning)
             assert load_fastpath_caches(resolve_cache_path(tmp_path)) > 0
+
+    def test_save_landing_during_the_load_is_merged(self, tmp_path, monkeypatch):
+        """Another invocation's atomic save can land right after this run's
+        load.  The run stats the file before loading it, so that save reads
+        as a changed file and is merged into this run's save, never
+        overwritten by it."""
+        import repro.fleet.planner as planner_mod
+
+        plan_fleet(WorkloadGrid.from_spec({"axes": {**SMALL_AXES, "seqlen_k": [16]}}),
+                   cache_dir=tmp_path)
+        cache_file = resolve_cache_path(tmp_path)
+        with open(cache_file, "rb") as handle:
+            payload = pickle.load(handle)
+        known = {name: set(entries) for name, entries in payload["layers"].items()}
+        # The other writer's payload: the same entries plus foreign keys.
+        timelines = payload["layers"]["timelines"]
+        template = next(iter(timelines.values()))
+        foreign = {("foreign-writer", index) for index in range(8)}
+        timelines.update((key, template) for key in foreign)
+
+        real_load = planner_mod.load_fastpath_caches
+
+        def load_then_foreign_save(path):
+            loaded = real_load(path)
+            with open(f"{path}.foreign", "wb") as handle:
+                pickle.dump(payload, handle)
+            os.replace(f"{path}.foreign", path)
+            return loaded
+
+        monkeypatch.setattr(planner_mod, "load_fastpath_caches",
+                            load_then_foreign_save)
+        clear_fastpath_caches()
+        report = plan_fleet(small_grid(), cache_dir=tmp_path)
+        assert all(outcome.ok for outcome in report.outcomes)
+
+        with open(cache_file, "rb") as handle:
+            saved = pickle.load(handle)["layers"]
+        # The run added entries of its own, and kept the other writer's.
+        assert any(set(entries) - known.get(name, set()) - foreign
+                   for name, entries in saved.items())
+        assert foreign <= set(saved["timelines"])
 
     def test_resolve_cache_path_defaults_to_user_cache(self):
         assert resolve_cache_path(None) == os.path.expanduser(
