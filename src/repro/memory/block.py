@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 
-@dataclass(order=True)
+@dataclass
 class Block:
     """A contiguous region inside a segment.
 
     A block is either allocated (backing one tensor) or free (available for
-    reuse).  Free neighbouring blocks can be coalesced.  Blocks order by
-    offset first, so a segment's offset-sorted block list can be bisected.
+    reuse).  Free neighbouring blocks can be coalesced.
     """
 
     offset: int
@@ -55,8 +55,8 @@ class Segment:
         return self.allocated_bytes == 0
 
     def block_at(self, offset: int) -> int:
-        """Index of the block at ``offset``: a zero-size probe bisects to just before it."""
-        return bisect_left(self.blocks, Block(offset=offset, size=0))
+        """Index of the block at ``offset`` (blocks are kept in offset order)."""
+        return bisect_left(self.blocks, offset, key=attrgetter("offset"))
 
     def allocate_in_block(self, index: int, size: int, tensor_id: str) -> Block:
         """Allocate ``size`` bytes at the beginning of free block ``index``.
@@ -82,15 +82,16 @@ class Segment:
         self.blocks.insert(index + 1, remainder)
         return block
 
-    def free_tensor(self, tensor_id: str) -> Optional[List[Tuple[int, int]]]:
-        """Free the block backing ``tensor_id`` and coalesce free neighbours.
+    def free_tensor(self, tensor_id: str, offset: int) -> Optional[List[Tuple[int, int]]]:
+        """Free the block at ``offset`` backing ``tensor_id`` and coalesce free neighbours.
 
         Returns the ``(size, offset)`` of each block of the coalesced run as it
-        was before merging, the freed one included; None if no block backs it.
+        was before merging, the freed one included; None if that block does
+        not back ``tensor_id``.
         """
         blocks = self.blocks
-        low = next((i for i, b in enumerate(blocks) if b.allocated and b.tensor_id == tensor_id), None)
-        if low is None:
+        low = self.block_at(offset)
+        if low == len(blocks) or blocks[low].tensor_id != tensor_id:
             return None
         block = blocks[low]
         block.allocated = False

@@ -128,9 +128,12 @@ class CachingAllocator:
         """Allocate ``size`` bytes for ``tensor_id``.
 
         Raises:
+            ValueError: if ``size`` is not positive or the tensor is live.
             OutOfMemoryError: when no contiguous space can be found even after
                 releasing cached segments.
         """
+        if size <= 0:
+            raise ValueError("size must be positive")
         if tensor_id in self._tensor_blocks:
             raise ValueError(f"tensor {tensor_id!r} is already allocated")
         rounded = self._rounded(size)
@@ -230,7 +233,7 @@ class CachingAllocator:
         if placed is None:
             raise KeyError(f"tensor {tensor_id!r} is not allocated")
         position, offset, size = placed
-        run = self.segments[position].free_tensor(tensor_id)
+        run = self.segments[position].free_tensor(tensor_id, offset)
         if run is None:
             raise KeyError(f"tensor {tensor_id!r} not found in its segment")
         for block_size, block_offset in run:
@@ -243,8 +246,8 @@ class CachingAllocator:
 
     # -------------------------------------------------------------- recording
     def _record(self) -> None:
-        allocated = self.allocated_bytes
-        reserved = self.reserved_bytes
+        allocated = self._allocated_bytes
+        reserved = self._reserved_bytes
         self.stats.peak_allocated_bytes = max(self.stats.peak_allocated_bytes, allocated)
         self.stats.peak_reserved_bytes = max(self.stats.peak_reserved_bytes, reserved)
         self.timeline.record(self._step, allocated, reserved)

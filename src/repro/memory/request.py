@@ -7,9 +7,8 @@ format ``"malloc tensor_id size"`` / ``"free tensor_id size"`` (Section 4.3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 
 class RequestKind(Enum):
@@ -19,8 +18,7 @@ class RequestKind(Enum):
     FREE = "free"
 
 
-@dataclass(frozen=True)
-class MemoryRequest:
+class MemoryRequest(NamedTuple("MemoryRequest", [("kind", RequestKind), ("tensor_id", str), ("size", int)])):
     """One allocator request.
 
     Attributes:
@@ -29,15 +27,14 @@ class MemoryRequest:
         size: size in bytes (the free size must match the malloc size).
     """
 
-    kind: RequestKind
-    tensor_id: str
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"request size must be positive, got {self.size}")
-        if not self.tensor_id:
+    def __new__(cls, kind: RequestKind, tensor_id: str, size: int) -> "MemoryRequest":
+        if size <= 0:
+            raise ValueError(f"request size must be positive, got {size}")
+        if not tensor_id:
             raise ValueError("tensor_id must be non-empty")
+        return tuple.__new__(cls, (kind, tensor_id, size))
 
     def __str__(self) -> str:
         return f"{self.kind.value} {self.tensor_id} {self.size}"
@@ -110,14 +107,6 @@ def tensor_lifespans(trace: Sequence[MemoryRequest]) -> Dict[str, Tuple[int, int
     for tensor_id, (start, size) in open_at.items():
         spans[tensor_id] = (start, len(trace), size)
     return spans
-
-
-def concat_traces(traces: Iterable[Sequence[MemoryRequest]]) -> List[MemoryRequest]:
-    """Concatenate several traces into one (no renaming is performed)."""
-    result: List[MemoryRequest] = []
-    for trace in traces:
-        result.extend(trace)
-    return result
 
 
 def trace_from_strings(lines: Iterable[str]) -> List[MemoryRequest]:

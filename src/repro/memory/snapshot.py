@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 
-@dataclass(frozen=True)
-class TimelinePoint:
+class TimelinePoint(NamedTuple):
     """One sample of the allocator state."""
 
     step: int

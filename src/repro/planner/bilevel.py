@@ -27,7 +27,7 @@ from repro.model.trace import (
 from repro.planner.dsa import DSAProblem, problem_from_trace
 from repro.planner.exact import ExactSolverOptions, solve_exact
 from repro.planner.heuristics import solve_heuristic
-from repro.planner.plan import MemoryPlan, PlanEntry
+from repro.planner.plan import MemoryPlan, TiledEntries
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,8 @@ class BiLevelPlanResult:
             activations, the (shared) layer pseudo block and the classifier
             transients.
         full_plan: fully composed plan covering every tensor of an iteration,
-            directly executable by :class:`repro.memory.PlannedAllocator`.
+            directly executable by :class:`repro.memory.PlannedAllocator`; its
+            entries tile the level-1 plans over the layers (read-only).
         layer_peak_bytes: level-1 peak (pseudo-block size).
         total_peak_bytes: level-2 peak, i.e. the transient-activation memory
             the plan needs for the whole iteration.
@@ -151,27 +152,30 @@ class BiLevelPlanner:
         layer_backward_plan: MemoryPlan,
         model_plan: MemoryPlan,
     ) -> MemoryPlan:
-        """Embed the per-layer plans at the pseudo block's address for every layer."""
-        full = MemoryPlan(solver=f"bilevel({layer_forward_plan.solver})")
+        """Tile the per-layer plans at the pseudo block's address over every layer.
+
+        Level-1 entries are named "L0.fwd.x" / "L0.bwd.x"; each layer reuses
+        them as "L{k}.fwd.x" at the same address, so the full plan stores the
+        tile once and names its per-layer entries only when they are read.
+        """
         pseudo_entry = model_plan.get(PSEUDO_LAYER_BLOCK)
         pseudo_address = pseudo_entry.address if pseudo_entry is not None else 0
-        for entry in model_plan.entries.values():
-            if entry.tensor_id == PSEUDO_LAYER_BLOCK:
-                continue
-            full.add(entry)
-        # Level-1 entries are named "L0.fwd.x" / "L0.bwd.x"; each layer reuses
-        # them under its own name, at the same address.
-        layer_entries = []
+        model_entries = {
+            tensor_id: entry for tensor_id, entry in model_plan.entries.items()
+            if tensor_id != PSEUDO_LAYER_BLOCK
+        }
+        tile = []
         for base_plan, pass_name in ((layer_forward_plan, "fwd"), (layer_backward_plan, "bwd")):
             for entry in base_plan.entries.values():
                 suffix = entry.tensor_id.split(".", 1)[1]
                 if suffix.startswith(pass_name):
-                    layer_entries.append((suffix, pseudo_address + entry.address, entry.size))
-        for layer in range(self.model.num_layers):
-            for suffix, address, size in layer_entries:
-                full.add(PlanEntry(tensor_id=f"L{layer}.{suffix}", address=address, size=size))
-        full.peak_bytes = max(full.peak_bytes, model_plan.peak_bytes)
-        return full
+                    tile.append((suffix, pseudo_address + entry.address, entry.size))
+        # The tile lies inside the pseudo block, so the level-2 peak covers it.
+        return MemoryPlan(
+            TiledEntries(model_entries, tile, self.model.num_layers),
+            model_plan.peak_bytes,
+            f"bilevel({layer_forward_plan.solver})",
+        )
 
 
 def plan_iteration(

@@ -10,26 +10,23 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from repro.memory.request import MemoryRequest, tensor_lifespans
 from repro.planner.plan import MemoryPlan
 
 
-@dataclass(frozen=True)
-class DSATensor:
+class DSATensor(NamedTuple("DSATensor", [("tensor_id", str), ("size", int), ("start", int), ("end", int)])):
     """One tensor of the DSA problem: a size and a [start, end) lifespan."""
 
-    tensor_id: str
-    size: int
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
+    def __new__(cls, tensor_id: str, size: int, start: int, end: int) -> "DSATensor":
+        if size <= 0:
             raise ValueError("size must be positive")
-        if self.end <= self.start:
+        if end <= start:
             raise ValueError("lifespan end must be after start")
+        return tuple.__new__(cls, (tensor_id, size, start, end))
 
     def conflicts_with(self, other: "DSATensor") -> bool:
         """Whether the two tensors are ever live at the same time."""
@@ -107,17 +104,18 @@ class DSAProblem:
         """
         entries = plan.entries
         events: List[Tuple[int, bool, int, int, int]] = []
-        for index, tensor in enumerate(self.tensors):
-            entry = entries.get(tensor.tensor_id)
+        for index, (tensor_id, size, start, stop) in enumerate(self.tensors):
+            entry = entries.get(tensor_id)
             if entry is None:
-                raise ValueError(f"plan is missing tensor {tensor.tensor_id!r}")
-            if entry.size != tensor.size:
+                raise ValueError(f"plan is missing tensor {tensor_id!r}")
+            if entry.size != size:
                 raise ValueError(
-                    f"plan size mismatch for {tensor.tensor_id!r}: "
-                    f"{entry.size} != {tensor.size}"
+                    f"plan size mismatch for {tensor_id!r}: "
+                    f"{entry.size} != {size}"
                 )
-            events.append((tensor.start, True, entry.address, entry.end, index))
-            events.append((tensor.end, False, entry.address, entry.end, index))
+            address = entry.address
+            events.append((start, True, address, address + size, index))
+            events.append((stop, False, address, address + size, index))
         events.sort()
         live: List[Tuple[int, int, int]] = []  # (address, end address, index)
         for _, allocate, address, end, index in events:

@@ -80,10 +80,7 @@ def _solve_branch_and_bound(problem: DSAProblem, options: ExactSolverOptions) ->
         if current_peak >= best_peak:
             return
         if index == len(tensors):
-            plan = MemoryPlan(solver="exact-bb")
-            for _, entry in placed.values():
-                plan.add(entry)
-            best_plan = plan
+            best_plan = MemoryPlan.of((entry for _, entry in placed.values()), "exact-bb")
             best_peak = current_peak
             return
         tensor = tensors[index]
@@ -187,8 +184,9 @@ def _solve_milp(problem: DSAProblem, options: ExactSolverOptions) -> MemoryPlan:
     if not result.success or result.x is None:
         # Fall back to branch-and-bound rather than failing the planning pass.
         return _solve_branch_and_bound(problem, options)
-    plan = MemoryPlan(solver="exact-milp")
-    for i, tensor in enumerate(tensors):
-        plan.add(PlanEntry(tensor.tensor_id, int(round(result.x[i])), tensor.size))
+    plan = MemoryPlan.of(
+        (PlanEntry(tensor.tensor_id, int(round(result.x[i])), tensor.size) for i, tensor in enumerate(tensors)),
+        "exact-milp",
+    )
     problem.validate_plan(plan)
     return plan

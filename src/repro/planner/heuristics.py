@@ -29,30 +29,37 @@ def _solve_in_order(problem: DSAProblem, order: List[DSATensor], best_fit: bool,
     ties); otherwise the lowest feasible address is used (first fit).  With no
     bounded gap that fits, the tensor goes above every conflicting region.
     """
-    plan = MemoryPlan(solver=name)
+    entries: List[PlanEntry] = []
     placed: List[Tuple[int, int, int, int]] = []  # address-sorted (address, end, start, end)
     for tensor in order:
         size, start, end = tensor.size, tensor.start, tensor.end
-        spans = [span for span in placed if span[2] < end and start < span[3]]  # conflicting
-        if best_fit:
-            # In start order a placed tensor not live at ``start`` never conflicts again.
-            placed = spans
-        # One pass over the address-sorted spans: a gap opens only where a span
-        # starts above the highest end seen so far, so no merging is needed.
-        address = best_gap = None
+        # One pass over the address-sorted conflicting spans: a gap opens only
+        # where a span starts above the highest end seen so far.
         cursor = 0
-        for low, high, _, _ in spans:
-            gap = low - cursor
-            if gap >= size and (best_gap is None or gap < best_gap):
-                address, best_gap = cursor, gap
-                if not best_fit:
-                    break
-            if high > cursor:
-                cursor = high
-        if address is None:
+        if best_fit:
+            # In start order every placed tensor starts no later than this one:
+            # it conflicts iff live at ``start``, and never again once it is not.
+            placed = [span for span in placed if start < span[3]]
+            address = best_gap = None
+            for low, high, _, _ in placed:
+                gap = low - cursor
+                if gap >= size and (best_gap is None or gap < best_gap):
+                    address, best_gap = cursor, gap
+                if high > cursor:
+                    cursor = high
+            if address is None:
+                address = cursor
+        else:
+            for low, high, s, e in placed:
+                if s < end and start < e:
+                    if low - cursor >= size:
+                        break
+                    if high > cursor:
+                        cursor = high
             address = cursor
-        plan.add(PlanEntry(tensor_id=tensor.tensor_id, address=address, size=size))
+        entries.append(PlanEntry(tensor.tensor_id, address, size))
         insort(placed, (address, address + size, start, end))
+    plan = MemoryPlan.of(entries, name)
     problem.validate_plan(plan)
     return plan
 

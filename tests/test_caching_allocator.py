@@ -41,6 +41,21 @@ class TestBasicAllocation:
         with pytest.raises(ValueError):
             allocator.malloc("a", MiB)
 
+    @pytest.mark.parametrize("size", [0, -512])
+    def test_non_positive_size_rejected_before_any_state_changes(self, size):
+        # A zero size used to leave a zero-size allocated block, and a negative
+        # one corrupted the block list until a later malloc failed.
+        allocator = make_allocator(round_to_bytes=512)
+        allocator.malloc("a", MiB)
+        with pytest.raises(ValueError, match="size must be positive"):
+            allocator.malloc("b", size)
+        assert allocator.stats.num_mallocs == 1
+        assert len(allocator.timeline) == 1
+        assert [[block.size for block in segment.blocks] for segment in allocator.segments] == [[MiB]]
+        allocator.malloc("b", MiB)
+        allocator.malloc("c", 4 * MiB)
+        assert allocator.allocated_bytes == 6 * MiB
+
     def test_free_unknown_tensor_rejected(self):
         with pytest.raises(KeyError):
             make_allocator().free("ghost")

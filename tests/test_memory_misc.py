@@ -34,9 +34,9 @@ class TestSegment:
         segment.allocate_in_block(0, 300, "a")
         segment.allocate_in_block(1, 300, "b")
         segment.allocate_in_block(2, 300, "c")
-        segment.free_tensor("a")
-        segment.free_tensor("c")
-        segment.free_tensor("b")
+        segment.free_tensor("a", 0)
+        segment.free_tensor("c", 600)
+        segment.free_tensor("b", 300)
         assert len(segment.blocks) == 1
         assert segment.is_fully_free
 

@@ -6,7 +6,6 @@ from repro.memory.request import (
     MemoryRequest,
     RequestKind,
     TraceError,
-    concat_traces,
     peak_live_bytes,
     tensor_lifespans,
     trace_from_strings,
@@ -82,11 +81,6 @@ class TestPeakAndLifespans:
             tensor_lifespans(trace)
         with pytest.raises(TraceError, match="request 3"):
             problem_from_trace(trace)
-
-    def test_concat(self):
-        first = [malloc("a", 10), free("a", 10)]
-        second = [malloc("b", 5), free("b", 5)]
-        assert len(concat_traces([first, second])) == 4
 
 
 class TestTextRoundTrip:

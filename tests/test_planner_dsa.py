@@ -4,7 +4,7 @@ import pytest
 
 from repro.memory.request import MemoryRequest, RequestKind
 from repro.planner.dsa import DSATensor, problem_from_tensors, problem_from_trace
-from repro.planner.plan import MemoryPlan, PlanEntry
+from repro.planner.plan import MemoryPlan, PlanEntry, TiledEntries
 
 
 def tensors_abc():
@@ -118,12 +118,20 @@ class TestMemoryPlan:
         with pytest.raises(ValueError):
             plan.add(PlanEntry("a", 10, 10))
 
-    def test_shifted(self):
-        plan = MemoryPlan()
-        plan.add(PlanEntry("a", 0, 10))
-        shifted = plan.shifted(100, prefix="L3.")
-        assert shifted.get("L3.a").address == 100
-        assert shifted.peak_bytes == 110
+    def test_tiled_plan_is_read_only(self):
+        entries = TiledEntries({"embed": PlanEntry("embed", 0, 8)}, [("fwd.x", 8, 4)], num_layers=2)
+        plan = MemoryPlan(entries, peak_bytes=12, solver="tiled")
+        assert len(plan) == 3 and entries._table is None
+        assert list(plan.entries) == ["embed", "L0.fwd.x", "L1.fwd.x"]
+        assert plan.get("L1.fwd.x") == PlanEntry("L1.fwd.x", 8, 4)
+        assert "L2.fwd.x" not in plan
+        with pytest.raises(TypeError, match="read-only"):
+            plan.add(PlanEntry("b", 20, 10))
+
+    def test_tiled_plan_without_layers_holds_the_model_entries(self):
+        # With no layer to stamp, a repeated suffix never inserts a name twice.
+        entries = TiledEntries({"L0.fwd.x": PlanEntry("L0.fwd.x", 0, 8)}, [("fwd.x", 8, 4)] * 2, 0)
+        assert dict(entries) == {"L0.fwd.x": PlanEntry("L0.fwd.x", 0, 8)}
 
     def test_union_of_disjoint_plans(self):
         first = MemoryPlan()
@@ -133,6 +141,8 @@ class TestMemoryPlan:
         union = MemoryPlan.union([first, second])
         assert len(union) == 2
         assert union.peak_bytes == 30
+        with pytest.raises(ValueError, match="'a' already planned"):
+            MemoryPlan.union([first, union])
 
     def test_entry_overlap_detection(self):
         assert PlanEntry("a", 0, 10).overlaps(PlanEntry("b", 5, 10))

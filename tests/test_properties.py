@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import re
 from typing import Dict, List, Optional, Tuple
 
@@ -12,8 +14,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.memory.caching_allocator import CachingAllocator, OutOfMemoryError
 from repro.memory.planned_allocator import PlannedAllocator
 from repro.memory.request import MemoryRequest, RequestKind, peak_live_bytes, validate_trace
+from repro.memory.snapshot import TimelinePoint
 from repro.model.specs import get_model_config
 from repro.model.trace import full_model_trace
+from repro.planner.bilevel import PSEUDO_LAYER_BLOCK, BiLevelPlanner
 from repro.planner.dsa import DSATensor, problem_from_tensors, problem_from_trace
 from repro.planner.exact import ExactSolverOptions, solve_exact
 from repro.planner.heuristics import solve_best_fit, solve_first_fit_decreasing, solve_heuristic
@@ -316,6 +320,164 @@ class TestLifespanNativeDSA:
         assert "conflicts" in problem.__dict__
 
 
+def _eager_compose(planner, layer_forward_plan, layer_backward_plan, model_plan):
+    """Frozen copy of the original composition: one added entry per layer and tensor."""
+    full = MemoryPlan(solver=f"bilevel({layer_forward_plan.solver})")
+    pseudo_entry = model_plan.get(PSEUDO_LAYER_BLOCK)
+    pseudo_address = pseudo_entry.address if pseudo_entry is not None else 0
+    for entry in model_plan.entries.values():
+        if entry.tensor_id == PSEUDO_LAYER_BLOCK:
+            continue
+        full.add(entry)
+    layer_entries = []
+    for base_plan, pass_name in ((layer_forward_plan, "fwd"), (layer_backward_plan, "bwd")):
+        for entry in base_plan.entries.values():
+            suffix = entry.tensor_id.split(".", 1)[1]
+            if suffix.startswith(pass_name):
+                layer_entries.append((suffix, pseudo_address + entry.address, entry.size))
+    for layer in range(planner.model.num_layers):
+        for suffix, address, size in layer_entries:
+            full.add(PlanEntry(tensor_id=f"L{layer}.{suffix}", address=address, size=size))
+    full.peak_bytes = max(full.peak_bytes, model_plan.peak_bytes)
+    return full
+
+
+def _outcome(call):
+    """A composed plan's entries in order, or the message of the ValueError it raised."""
+    try:
+        plan = call()
+    except ValueError as error:
+        return str(error)
+    return list(plan.entries.items()), plan.peak_bytes, plan.solver
+
+
+def _small_plan(num_layers):
+    model = dataclasses.replace(get_model_config("7B"), num_layers=num_layers)
+    planner = BiLevelPlanner(model, batch_size=1, sequence_length=256, use_exact=False)
+    return planner, planner.plan()
+
+
+class TestTiledBiLevelPlan:
+    """The tiled full plan equals the eager per-layer composition it replaced."""
+
+    @given(
+        st.integers(min_value=1, max_value=80),
+        st.sampled_from([256, 1024, 3072, 8192]),
+        st.booleans(),
+    )
+    @example(32, 8192, True)
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_full_plan_equals_eager_composition(self, num_layers, sequence_length, use_exact):
+        model = dataclasses.replace(get_model_config("7B"), num_layers=num_layers)
+        planner = BiLevelPlanner(model, batch_size=1, sequence_length=sequence_length, use_exact=use_exact)
+        result = planner.plan()
+        eager = _eager_compose(
+            planner, result.layer_forward_plan, result.layer_backward_plan, result.model_plan,
+        )
+        tiled = result.full_plan
+        # Length, peak and solver are set at composition, before any entry is named.
+        assert (len(tiled), tiled.peak_bytes, tiled.solver) == (len(eager), eager.peak_bytes, eager.solver)
+        assert tiled.entries._table is None
+        assert list(tiled.entries.items()) == list(eager.entries.items())
+        assert repr(tiled) == repr(eager) and tiled == eager
+        with pytest.raises(TypeError, match="read-only"):
+            tiled.add(PlanEntry("extra", 0, 1))
+
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_model_id_colliding_with_a_layer_id_raises_at_composition(self, num_layers, data):
+        planner, result = _small_plan(num_layers)
+        suffix = data.draw(st.sampled_from([
+            entry.tensor_id.split(".", 1)[1] for entry in result.layer_forward_plan.entries.values()
+        ] + ["fwd.not_in_the_tile"]))
+        head = data.draw(st.sampled_from(["L0", "L1", "L3", "L4", "L03", "L-1", "Lx", "M1", ""]))
+        extra = PlanEntry(f"{head}.{suffix}", 0, 1)
+        model_plan = MemoryPlan.of([*result.model_plan.entries.values(), extra], result.model_plan.solver)
+        plans = (result.layer_forward_plan, result.layer_backward_plan, model_plan)
+        expected = _outcome(lambda: _eager_compose(planner, *plans))
+        assert _outcome(lambda: planner._compose(*plans)) == expected
+        collides = head in [f"L{k}" for k in range(num_layers)] and suffix != "fwd.not_in_the_tile"
+        assert isinstance(expected, str) == collides
+
+    @given(st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_repeated_tile_suffix_raises_at_composition(self, num_layers, data):
+        planner, result = _small_plan(num_layers)
+        forward = list(result.layer_forward_plan.entries.values())
+        repeated = data.draw(st.sampled_from(forward))
+        twin = PlanEntry("L7." + repeated.tensor_id.split(".", 1)[1], repeated.address, repeated.size)
+        layer_forward_plan = MemoryPlan.of([*forward, twin], result.layer_forward_plan.solver)
+        plans = (layer_forward_plan, result.layer_backward_plan, result.model_plan)
+        expected = _outcome(lambda: _eager_compose(planner, *plans))
+        assert _outcome(lambda: planner._compose(*plans)) == expected
+        assert isinstance(expected, str)
+
+
+def _frozen_record(name, fields, check=None):
+    """A frozen dataclass with the original record's fields, validation and repr."""
+    namespace = {} if check is None else {"__post_init__": check}
+    return dataclasses.make_dataclass(name, fields, frozen=True, namespace=namespace)
+
+
+def _check_plan_entry(self):
+    if self.address < 0:
+        raise ValueError("address must be non-negative")
+    if self.size <= 0:
+        raise ValueError("size must be positive")
+
+
+def _check_request(self):
+    if self.size <= 0:
+        raise ValueError(f"request size must be positive, got {self.size}")
+    if not self.tensor_id:
+        raise ValueError("tensor_id must be non-empty")
+
+
+def _check_dsa_tensor(self):
+    if self.size <= 0:
+        raise ValueError("size must be positive")
+    if self.end <= self.start:
+        raise ValueError("lifespan end must be after start")
+
+
+_IDS = st.sampled_from(["", "a", "L0.fwd.x"])
+_INTS = st.integers(min_value=-3, max_value=3)
+_RECORDS = [
+    (PlanEntry, _frozen_record("PlanEntry", ["tensor_id", "address", "size"], _check_plan_entry),
+     [_IDS, _INTS, _INTS]),
+    (MemoryRequest, _frozen_record("MemoryRequest", ["kind", "tensor_id", "size"], _check_request),
+     [st.sampled_from(list(RequestKind)), _IDS, _INTS]),
+    (DSATensor, _frozen_record("DSATensor", ["tensor_id", "size", "start", "end"], _check_dsa_tensor),
+     [_IDS, _INTS, _INTS, _INTS]),
+    (TimelinePoint, _frozen_record("TimelinePoint", ["step", "allocated_bytes", "reserved_bytes"]),
+     [_INTS, _INTS, _INTS]),
+]
+
+
+class TestValidatedRecords:
+    """The tuple records accept and reject what the frozen dataclasses did."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_records_validate_like_the_frozen_dataclasses(self, data):
+        for record, frozen, strategies in _RECORDS:
+            values = [data.draw(strategy) for strategy in strategies]
+            names = [field.name for field in dataclasses.fields(frozen)]
+            try:
+                reference = frozen(*values)
+            except ValueError as error:
+                for build in (lambda: record(*values), lambda: record(**dict(zip(names, values)))):
+                    with pytest.raises(ValueError) as raised:
+                        build()
+                    assert str(raised.value) == str(error)
+                continue
+            built = record(*values)
+            assert built == record(**dict(zip(names, values)))
+            assert repr(built) == repr(reference)
+            assert [getattr(built, name) for name in names] == values
+            assert record._fields == tuple(names)
+
+
 class TestCachingAllocatorProperties:
     @given(malloc_free_traces())
     @settings(max_examples=40, deadline=None)
@@ -479,6 +641,65 @@ class TestFreeBlockIndex:
                 for position, segment in enumerate(allocator.segments)
                 for block in segment.blocks if not block.allocated
             )
+
+    @given(malloc_free_traces(max_tensors=16), st.sampled_from([1, 512]), st.sampled_from([1, 1 << 15]))
+    @example(
+        [
+            MemoryRequest(RequestKind.MALLOC, "a", 100),
+            MemoryRequest(RequestKind.MALLOC, "b", 100),
+            MemoryRequest(RequestKind.MALLOC, "c", 100),
+            MemoryRequest(RequestKind.FREE, "a", 100),
+            MemoryRequest(RequestKind.FREE, "c", 100),
+            MemoryRequest(RequestKind.FREE, "b", 100),
+        ],
+        1, 1 << 15,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_free_by_offset_merges_as_the_scan_did(self, trace, round_to, large):
+        # Room for one segment per malloc, so no request fails or reorganises.
+        capacity = sum(max(r.size + 512, 1 << 16) for r in trace if r.kind is RequestKind.MALLOC)
+        allocator = CachingAllocator(
+            capacity_bytes=capacity, round_to_bytes=round_to,
+            large_request_threshold=large, small_segment_bytes=1 << 16,
+        )
+        for request in trace:
+            tensor_id = request.tensor_id
+            if request.kind is RequestKind.MALLOC:
+                allocator.malloc(tensor_id, request.size)
+                continue
+            position, offset, _ = allocator._tensor_blocks[tensor_id]
+            segment = allocator.segments[position]
+            # An unknown id names no block, for the scan too, and neither does a wrong offset.
+            assert _scan_free_tensor(copy.deepcopy(segment), "missing") is None
+            assert copy.deepcopy(segment).free_tensor("missing", offset) is None
+            assert copy.deepcopy(segment).free_tensor(tensor_id, offset + 1) is None
+            scanned, by_offset = copy.deepcopy(segment), copy.deepcopy(segment)
+            assert by_offset.free_tensor(tensor_id, offset) == _scan_free_tensor(scanned, tensor_id)
+            assert by_offset == scanned
+            allocator.free(tensor_id)
+            assert allocator.segments[position] == scanned
+            assert copy.deepcopy(scanned).free_tensor(tensor_id, offset) is None  # already free
+
+
+def _scan_free_tensor(segment, tensor_id):
+    """Frozen copy of the original ``Segment.free_tensor``: the block is found by a scan."""
+    blocks = segment.blocks
+    low = next((i for i, b in enumerate(blocks) if b.allocated and b.tensor_id == tensor_id), None)
+    if low is None:
+        return None
+    block = blocks[low]
+    block.allocated = False
+    block.tensor_id = None
+    segment.allocated_bytes -= block.size
+    high = low + 1
+    while low > 0 and not blocks[low - 1].allocated:
+        low -= 1
+    while high < len(blocks) and not blocks[high].allocated:
+        high += 1
+    run = [(b.size, b.offset) for b in blocks[low:high]]
+    blocks[low].size = sum(size for size, _ in run)
+    del blocks[low + 1:high]
+    return run
 
 
 class TestAlphaProperties:
