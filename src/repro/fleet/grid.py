@@ -133,10 +133,12 @@ class SearchSettings:
             raise GridSpecError(
                 f"unknown system {self.system!r}; expected one of {SYSTEM_NAMES}"
             )
-        if self.replicas < 1:
-            raise GridSpecError("replicas must be >= 1")
-        if self.target_iterations is not None and self.target_iterations < 1:
-            raise GridSpecError("target_iterations must be >= 1")
+        # The training system owns the knob rules; building it once here
+        # fails a bad grid at load time instead of once per point.
+        try:
+            self.build_system()
+        except (TypeError, ValueError) as error:
+            raise GridSpecError(f"bad search settings: {error}") from None
 
     def system_kwargs(self) -> dict:
         """Constructor kwargs of the per-point training system."""

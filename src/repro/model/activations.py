@@ -17,6 +17,7 @@ the memory-trace generator, the swapping scheduler and the cost model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import List
@@ -134,13 +135,18 @@ def skeletal_elements_per_layer(model: ModelConfig, batch_size: int, sequence_le
     return sum(t.elements(batch_size, sequence_length) for t in skeletal_tensors(model))
 
 
+@functools.lru_cache(maxsize=1024)
 def skeletal_bytes_per_layer(
     model: ModelConfig,
     batch_size: int,
     sequence_length: int,
     precision: PrecisionConfig = DEFAULT_PRECISION,
 ) -> int:
-    """Total skeletal activation bytes of one layer for a per-device shape."""
+    """Total skeletal activation bytes of one layer for a per-device shape.
+
+    Memoized per shape (``clear_fastpath_caches`` empties the memo): the
+    strategy search asks for the same few shapes once per candidate.
+    """
     return sum(t.bytes(batch_size, sequence_length, precision) for t in skeletal_tensors(model))
 
 

@@ -1058,22 +1058,27 @@ def fastpath_cache_info() -> Dict[str, object]:
 def clear_fastpath_caches() -> None:
     """Drop all memoized schedules, timelines and programs (tests, benches).
 
-    The failure walk's arrival memo goes too, so a cleared process redraws
-    every failure trace exactly as a fresh one would.
+    The failure walk's arrival memo, the Monte-Carlo replica draws and the
+    skeletal-bytes memo go too, so a cleared process redraws every failure
+    trace and jitter replica exactly as a fresh one would.
 
     Also advances the cache generation: schedules returned before the clear
     keep their ``_canonical`` marker but their generation stamp is retired,
     so :func:`_structure_key` stops routing them through the refilled
     timeline and program caches.
     """
+    from repro.model.activations import skeletal_bytes_per_layer
     from repro.sim.costs import clear_stage_profile_store
     from repro.sim.failures import clear_failure_arrival_memo
+    from repro.sim.stochastic import _replica_variates
 
     cached_build_schedule.cache_clear()  # bumps the generation
     _cached_fast_timeline.cache_clear()
     _cached_schedule_program.cache_clear()
     clear_stage_profile_store()
     clear_failure_arrival_memo()
+    _replica_variates.cache_clear()
+    skeletal_bytes_per_layer.cache_clear()
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,9 @@ replication and a risk-adjusted score -- without touching either engine:
   ``(seed, replica)`` seed sequences: the same seed reproduces the same
   :class:`MakespanDistribution` bit for bit, across cache clears and across
   processes, and replica ``r``'s draws are independent of how many replicas
-  run before or after it;
+  run before or after it -- so :func:`monte_carlo_timeline` draws each
+  ``(seed, replica, ranks, stages)`` once per process and shares the
+  read-only arrays between every candidate it scores;
 * draws consume a **fixed number of variates** regardless of the spec's
   parameter values: the underlying normal/uniform draws are made first and
   the spec's scales are applied after, so two specs that differ only in
@@ -47,6 +49,7 @@ cache counters are untouched by the stochastic layer).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -260,6 +263,38 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng([seed, replica])
 
 
+def _draw_variates(
+    rng: np.random.Generator, num_ranks: int, num_stages: int,
+) -> Tuple[np.ndarray, ...]:
+    """One replica's raw draws, in :func:`perturb_stage_costs`'s fixed order."""
+    # Per-rank straggler (uniform, tail uniform), then per-stage
+    # forward/backward normals, then per-stage link normals, then per-stage
+    # offload/prefetch normals.  The swap draws come *last* so the variates
+    # feeding the pre-existing models are bit-identical to what they were
+    # before the swap model existed (a spec with ``swap=0`` is a bit-for-bit
+    # no-op on the older multipliers, not merely distributionally equivalent).
+    return (
+        rng.random(num_ranks), rng.random(num_ranks), rng.standard_normal((num_stages, 2)),
+        rng.standard_normal(num_stages), rng.standard_normal((num_stages, 2)),
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _replica_variates(
+    seed: int, replica: int, num_ranks: int, num_stages: int,
+) -> Tuple[np.ndarray, ...]:
+    """The process-wide, read-only raw draws of ``replica_rng(seed, replica)``.
+
+    The draw protocol makes them a pure function of this key, so every
+    candidate of a search shares one copy instead of re-seeding a generator
+    (``clear_fastpath_caches`` empties the memo).
+    """
+    variates = _draw_variates(replica_rng(seed, replica), num_ranks, num_stages)
+    for array in variates:
+        array.flags.writeable = False
+    return variates
+
+
 def perturb_stage_costs(
     costs: Union[StageCosts, Sequence[StageCosts]],
     spec: JitterSpec,
@@ -303,20 +338,16 @@ def perturb_stage_costs(
             f"placement map covers {len(vs_rank)} virtual stages, costs {num_stages}"
         )
     num_ranks = (max(vs_rank) + 1) if num_stages else 0
+    variates = _draw_variates(rng, num_ranks, num_stages)
+    return _apply_variates(per_stage, spec, variates, vs_rank)
 
-    # Fixed draw order: per-rank straggler (uniform, tail uniform), then
-    # per-stage forward/backward normals, then per-stage link normals, then
-    # per-stage offload/prefetch normals.  The swap draws come *last* so the
-    # variates feeding the pre-existing models are bit-identical to what
-    # they were before the swap model existed (a spec with ``swap=0`` is a
-    # bit-for-bit no-op on the older multipliers, not merely distributionally
-    # equivalent).
-    straggler_u = rng.random(num_ranks)
-    straggler_tail = rng.random(num_ranks)
-    compute_z = rng.standard_normal((num_stages, 2))
-    link_z = rng.standard_normal(num_stages)
-    swap_z = rng.standard_normal((num_stages, 2))
 
+def _apply_variates(
+    per_stage: Sequence[StageCosts], spec: JitterSpec,
+    variates: Tuple[np.ndarray, ...], vs_rank: Sequence[int],
+) -> Tuple[StageCosts, ...]:
+    """Scale one replica's raw draws by ``spec`` and perturb ``per_stage``."""
+    straggler_u, straggler_tail, compute_z, link_z, swap_z = variates
     if spec.is_null:
         return tuple(per_stage)
 
@@ -616,6 +647,13 @@ def monte_carlo_timeline(
         raise ValueError(f"ci_halfwidth must be non-negative (got {ci_halfwidth})")
     per_stage = _normalise_costs(schedule, costs)
     vs_rank = schedule.virtual_stage_ranks
+    num_ranks = max(vs_rank) + 1
+
+    def draw(replica: int) -> Tuple[StageCosts, ...]:
+        # Bit-identical to perturb_stage_costs(..., replica_rng(seed, replica)).
+        variates = _replica_variates(seed, replica, num_ranks, len(per_stage))
+        return _apply_variates(per_stage, spec, variates, vs_rank)
+
     deterministic = critical_path_timeline(
         schedule, per_stage,
         p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
@@ -652,14 +690,7 @@ def monte_carlo_timeline(
                 chunk = min(min_replicas, replicas)
             else:
                 chunk = min(next_replica, replicas - next_replica)
-            drawn_rows = [
-                perturb_stage_costs(
-                    per_stage, spec,
-                    replica_rng(seed, next_replica + offset),
-                    vs_rank=vs_rank,
-                )
-                for offset in range(chunk)
-            ]
+            drawn_rows = [draw(next_replica + offset) for offset in range(chunk)]
             result = critical_path_timeline_batch(
                 program, drawn_rows,
                 p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
@@ -675,9 +706,7 @@ def monte_carlo_timeline(
             next_replica += chunk
     else:
         for replica in range(replicas):
-            drawn = perturb_stage_costs(
-                per_stage, spec, replica_rng(seed, replica), vs_rank=vs_rank,
-            )
+            drawn = draw(replica)
             timeline = critical_path_timeline(
                 schedule, drawn,
                 p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,

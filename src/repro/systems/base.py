@@ -22,11 +22,15 @@ Scoring invariants:
   count for chunked split schedules (ZB-V pins two chunk stashes per rank,
   each half a micro-batch's worth);
 * a strategy is infeasible ("oom"/"oohm") if *no* schedule candidate fits;
-  with ``pipeline_schedule="auto"`` the fastest feasible candidate wins.
+  with ``pipeline_schedule="auto"`` the fastest feasible candidate wins;
+* after the swap schedule's "oohm" check, an unscaled footprint over the
+  GPU returns candidate 0's "oom" verdict -- the sweep's own answer --
+  without bounding, building or simulating any other candidate.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -429,9 +433,10 @@ class StageExecution:
 
     Produced by :meth:`TrainingSystem.stage_execution`; the timeline is the
     single-stage executor's result for one micro-batch (swap/recompute stalls
-    resolved), which the pipeline simulator consumes as per-stage costs.  It
-    is simulated lazily so that strategy candidates rejected on memory
-    grounds never pay for a discrete-event run.
+    resolved), which the pipeline simulator consumes as per-stage costs.  The
+    per-layer task list and both timelines are built on first read, so a
+    strategy rejected on memory grounds never pays for a task list or a
+    discrete-event run.
     """
 
     cost_model: CostModel
@@ -441,24 +446,57 @@ class StageExecution:
     swap_schedule: Optional[SwapSchedule]
     effective_alpha: Optional[float]
     boundary_compute_s: float
-    tasks: List[LayerTask]
-    _timeline: Optional[IterationTimeline] = field(default=None, repr=False)
-    _stage_timeline: Optional[IterationTimeline] = field(default=None, repr=False)
+    recompute: RecomputeMode
     _stage_costs_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def timeline(self) -> IterationTimeline:
-        """Single-stage, single-micro-batch timeline (simulated on first use)."""
-        if self._timeline is None:
-            self._timeline = simulate_iteration(
-                self.tasks,
-                pcie_bandwidth_bytes_per_s=self.pcie_bandwidth_bytes_per_s,
-                boundary_compute_s=self.boundary_compute_s,
-                serial_overhead_s=0.0,
+    @functools.cached_property
+    def tasks(self) -> List[LayerTask]:
+        """The single-stage executor's per-layer task list."""
+        costs, schedule = self.layer_costs, self.swap_schedule
+        tasks: List[LayerTask] = []
+        for layer in range(self.layers_per_stage):
+            offload_bytes = 0.0
+            prefetch_bytes = 0.0
+            recompute_s = 0.0
+            resident = False
+            if schedule is not None:
+                plan = schedule.layers[layer]
+                offload_bytes = plan.offload_bytes
+                prefetch_bytes = plan.prefetch_bytes
+                resident = plan.offload_bytes == 0 and plan.recompute_bytes == 0
+                # Token-wise recomputation only rebuilds the "other" skeletal
+                # tensors, which does not involve FlashAttention and is
+                # therefore cheap relative to a full forward pass.
+                recompute_s = schedule.recompute_fraction(layer) * costs.partial_recompute_s
+            elif self.recompute is RecomputeMode.FULL:
+                recompute_s = costs.recompute_s
+            elif self.recompute is RecomputeMode.TOKEN_WISE:
+                # Token-wise recomputation without swapping: every "other"
+                # skeletal tensor is rebuilt before the backward pass.
+                recompute_s = costs.partial_recompute_s
+            tasks.append(
+                LayerTask(
+                    forward_compute_s=costs.forward_total_s,
+                    backward_compute_s=costs.backward_total_s,
+                    offload_bytes=offload_bytes,
+                    prefetch_bytes=prefetch_bytes,
+                    recompute_s=recompute_s,
+                    resident=resident,
+                )
             )
-        return self._timeline
+        return tasks
 
-    @property
+    @functools.cached_property
+    def timeline(self) -> IterationTimeline:
+        """Single-stage, single-micro-batch timeline."""
+        return simulate_iteration(
+            self.tasks,
+            pcie_bandwidth_bytes_per_s=self.pcie_bandwidth_bytes_per_s,
+            boundary_compute_s=self.boundary_compute_s,
+            serial_overhead_s=0.0,
+        )
+
+    @functools.cached_property
     def stage_timeline(self) -> IterationTimeline:
         """Like :attr:`timeline` but without the embedding/classifier boundary.
 
@@ -466,14 +504,12 @@ class StageExecution:
         stages that actually hold it (embedding on stage 0, classifier on the
         last stage), so the transformer-layer span must be boundary-free.
         """
-        if self._stage_timeline is None:
-            self._stage_timeline = simulate_iteration(
-                self.tasks,
-                pcie_bandwidth_bytes_per_s=self.pcie_bandwidth_bytes_per_s,
-                boundary_compute_s=0.0,
-                serial_overhead_s=0.0,
-            )
-        return self._stage_timeline
+        return simulate_iteration(
+            self.tasks,
+            pcie_bandwidth_bytes_per_s=self.pcie_bandwidth_bytes_per_s,
+            boundary_compute_s=0.0,
+            serial_overhead_s=0.0,
+        )
 
     @property
     def forward_s(self) -> float:
@@ -634,8 +670,9 @@ class TrainingSystem(ABC):
                 null/absent failure spec every ``ttrain_*`` objective
                 degrades to its base statistic.
             monte_carlo_replicas: draws per candidate when jitter is active.
-            monte_carlo_seed: base seed of the replica generators; a fixed
-                seed makes the whole search reproducible bit for bit.
+            monte_carlo_seed: base seed of the replica generators (a
+                non-negative ``int``); a fixed seed makes the whole search
+                reproducible bit for bit.
             failures: failure/preemption arrival process -- a
                 :class:`~repro.sim.failures.FailureSpec` or a spec string
                 (:func:`~repro.sim.failures.parse_failure_spec`, e.g.
@@ -687,6 +724,8 @@ class TrainingSystem(ABC):
         if monte_carlo_replicas < 1:
             raise ValueError("monte_carlo_replicas must be >= 1")
         self.monte_carlo_replicas = monte_carlo_replicas
+        if type(monte_carlo_seed) is not int or monte_carlo_seed < 0:  # bool excluded
+            raise ValueError(f"monte_carlo_seed must be a non-negative int, got {monte_carlo_seed!r}")
         self.monte_carlo_seed = monte_carlo_seed
         if isinstance(failures, str):
             failures = parse_failure_spec(failures)
@@ -1025,10 +1064,11 @@ class TrainingSystem(ABC):
     ) -> StageExecution:
         """Lower one pipeline stage of a strategy to costs and a timeline.
 
-        Builds the cost model, the token-wise swap schedule (when the
-        strategy's offload mode requires one) and the single-stage
-        discrete-event timeline of one micro-batch.  Used by
-        :meth:`_shared_evaluation` and by the ``sim-pipeline`` CLI.
+        Builds the cost model and the token-wise swap schedule (when the
+        strategy's offload mode requires one); the per-layer task list and
+        the single-stage discrete-event timeline of one micro-batch follow
+        on first read.  Used by :meth:`_shared_evaluation` and by the
+        ``sim-pipeline`` CLI.
         """
         model = workload.model
         cluster = workload.cluster()
@@ -1066,7 +1106,6 @@ class TrainingSystem(ABC):
             )
             effective_alpha = schedule.alpha
 
-        tasks = self._layer_tasks(parallel, layer_costs, layers_per_stage, schedule)
         boundary = cost_model.embedding_classifier_time(workload.sequence_length)
         return StageExecution(
             cost_model=cost_model,
@@ -1076,7 +1115,7 @@ class TrainingSystem(ABC):
             swap_schedule=schedule,
             effective_alpha=effective_alpha,
             boundary_compute_s=boundary,
-            tasks=tasks,
+            recompute=parallel.recompute,
         )
 
     def _shared_evaluation(
@@ -1367,6 +1406,14 @@ class TrainingSystem(ABC):
             p2p_time = cost_model.pipeline_p2p_time(p2p_bytes)
             p2p_bandwidth = p2p_bytes / p2p_time if p2p_time > 0 else float("inf")
 
+        if _every_candidate_oom(base_memory, cluster.gpu.memory_bytes):
+            # _scale_pipeline_in_flight only multiplies non-negative fields
+            # by a factor > 1 (float rounding is monotone), so every
+            # candidate is OOM; with no feasible incumbent the sweep would
+            # prune nothing and keep the lowest-index verdict.  Return it
+            # without bounding, building or simulating the others.
+            return evaluate_with_schedule(*candidates[0])
+
         bounds: List[Optional[float]] = []
         for kind, shape in candidates:
             bound: Optional[float] = None
@@ -1417,46 +1464,10 @@ class TrainingSystem(ABC):
         best.schedules_pruned = pruned
         return best
 
-    def _layer_tasks(
-        self,
-        parallel: ParallelismConfig,
-        layer_costs,
-        layers_per_stage: int,
-        schedule: Optional[SwapSchedule],
-    ) -> List[LayerTask]:
-        """Build the executor's per-layer task list for this strategy."""
-        tasks: List[LayerTask] = []
-        for layer in range(layers_per_stage):
-            offload_bytes = 0.0
-            prefetch_bytes = 0.0
-            recompute_s = 0.0
-            resident = False
-            if schedule is not None:
-                plan = schedule.layers[layer]
-                offload_bytes = plan.offload_bytes
-                prefetch_bytes = plan.prefetch_bytes
-                resident = plan.offload_bytes == 0 and plan.recompute_bytes == 0
-                # Token-wise recomputation only rebuilds the "other" skeletal
-                # tensors, which does not involve FlashAttention and is
-                # therefore cheap relative to a full forward pass.
-                recompute_s = schedule.recompute_fraction(layer) * layer_costs.partial_recompute_s
-            elif parallel.recompute is RecomputeMode.FULL:
-                recompute_s = layer_costs.recompute_s
-            elif parallel.recompute is RecomputeMode.TOKEN_WISE:
-                # Token-wise recomputation without swapping: every "other"
-                # skeletal tensor is rebuilt before the backward pass.
-                recompute_s = layer_costs.partial_recompute_s
-            tasks.append(
-                LayerTask(
-                    forward_compute_s=layer_costs.forward_total_s,
-                    backward_compute_s=layer_costs.backward_total_s,
-                    offload_bytes=offload_bytes,
-                    prefetch_bytes=prefetch_bytes,
-                    recompute_s=recompute_s,
-                    resident=resident,
-                )
-            )
-        return tasks
+
+def _every_candidate_oom(base_memory: MemoryBreakdown, gpu_memory_bytes: float) -> bool:
+    """Whether the unscaled footprint, hence every in-flight-scaled one, overflows."""
+    return not base_memory.fits(gpu_memory_bytes)
 
 
 def _scale_activations(memory: MemoryBreakdown, factor: float, planned: bool) -> MemoryBreakdown:

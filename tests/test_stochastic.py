@@ -46,6 +46,8 @@ from repro.sim.stochastic import (
     JitterSpec,
     MakespanDistribution,
     _Z_95,
+    _apply_variates,
+    _replica_variates,
     distribution_ci_halfwidth,
     monte_carlo_timeline,
     objective_score,
@@ -181,6 +183,62 @@ class TestPerturbStageCosts:
     def test_placement_map_length_checked(self):
         with pytest.raises(ValueError):
             perturb_stage_costs([COSTS, COSTS], SPEC, replica_rng(0, 0), vs_rank=[0])
+
+
+class TestReplicaVariatesMemo:
+    """Monte-Carlo replicas reuse one process-wide copy of their raw draws."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("replica", [0, 3])
+    @pytest.mark.parametrize("num_ranks, vs_rank", [
+        (1, (0,)),
+        (3, (0, 1, 2)),
+        (2, (0, 1, 1, 0)),  # V placement: two chunks per rank
+        (2, (0, 1, 0, 1)),  # interleaved placement
+    ])
+    def test_memoized_draws_match_a_fresh_generator(self, seed, replica, num_ranks, vs_rank):
+        stages = [
+            StageCosts(forward_s=1.0 + vs, backward_s=2.0, p2p_bytes=1e6,
+                       offload_bytes=3.0, prefetch_bytes=2.0, backward_weight_s=0.8)
+            for vs in range(len(vs_rank))
+        ]
+        spec = JitterSpec(compute_sigma=0.05, straggler_prob=0.5, link_sigma=0.02,
+                          swap_sigma=0.1)
+        fresh = perturb_stage_costs(stages, spec, replica_rng(seed, replica), vs_rank=vs_rank)
+        for _ in range(2):  # the second lookup hits the memo
+            variates = _replica_variates(seed, replica, num_ranks, len(vs_rank))
+            assert _apply_variates(stages, spec, variates, vs_rank) == fresh
+
+    def test_monte_carlo_matches_fresh_generators(self):
+        schedule = _zb_v()
+        stages = [COSTS] * schedule.num_virtual_stages
+        dist = monte_carlo_timeline(schedule, stages, SPEC, replicas=6, seed=5, batch=False)
+        expected = tuple(
+            critical_path_timeline(schedule, perturb_stage_costs(
+                stages, SPEC, replica_rng(5, replica),
+                vs_rank=schedule.virtual_stage_ranks,
+            )).total_s
+            for replica in range(6)
+        )
+        assert dist.samples == expected
+
+    def test_memoized_arrays_are_read_only(self):
+        for array in _replica_variates(1, 2, 3, 4):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_clear_fastpath_caches_empties_both_memos(self):
+        from repro.model.activations import skeletal_bytes_per_layer
+        from repro.model.specs import get_model_config
+
+        monte_carlo_timeline(_zb_v(), COSTS, SPEC, replicas=4, seed=0)
+        skeletal_bytes_per_layer(get_model_config("7B"), 1, 4096)
+        assert _replica_variates.cache_info().currsize > 0
+        assert skeletal_bytes_per_layer.cache_info().currsize > 0
+        clear_fastpath_caches()
+        assert _replica_variates.cache_info().currsize == 0
+        assert skeletal_bytes_per_layer.cache_info().currsize == 0
 
 
 class TestSeededDeterminism:

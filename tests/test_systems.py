@@ -1,9 +1,15 @@
 """Tests for the training systems (MEMO, Megatron-LM, DeepSpeed) and metrics."""
 
+import dataclasses
+
 import pytest
 
+import repro.systems.base as base
 from repro.config import tokens
-from repro.parallel.strategy import OffloadMode, RecomputeMode
+from repro.fleet.grid import GridSpecError, WorkloadGrid
+from repro.parallel.search import enumerate_strategies
+from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
+from repro.sim.schedules import ScheduleKind
 from repro.systems.base import Workload
 from repro.systems.deepspeed import DeepSpeedSystem
 from repro.systems.megatron import MegatronSystem
@@ -153,3 +159,111 @@ class TestSystemComparison:
         deepspeed_max = DeepSpeedSystem().max_sequence_length("7B", 8, grid)
         assert memo_max >= 1024
         assert deepspeed_max <= megatron_max < memo_max
+
+
+_VERDICT_SCHEDULES = (None, "1f1b", "interleaved", "zb-h1", "zb-v", "auto")
+#: 4-GPU, batch-8 workloads whose strategies fit, run out of GPU memory and
+#: (MEMO's offload strategies at 2M tokens) out of host memory.
+_VERDICT_WORKLOADS = (
+    Workload("7B", tokens(32), 4, 8),
+    Workload("7B", tokens(512), 4, 8),
+    Workload("7B", tokens(2048), 4, 8),
+)
+
+
+def _candidates(system, workload):
+    return enumerate_strategies(
+        system.search_space(workload), workload.model, workload.num_gpus,
+        gpus_per_node=workload.cluster().node.gpus_per_node,
+        global_batch_samples=workload.global_batch_samples,
+    )
+
+
+class TestMemoryVerdictFirst:
+    """An unscaled footprint over the GPU returns candidate 0's OOM verdict
+    without bounding or building the sweep -- exactly what the full sweep
+    would have returned, field for field."""
+
+    @pytest.mark.parametrize("system_cls", [MegatronSystem, DeepSpeedSystem, MemoSystem])
+    def test_matches_the_full_sweep(self, system_cls, monkeypatch):
+        every_oom = base._every_candidate_oom
+        fired = []
+
+        def spy(memory, gpu_memory_bytes):
+            verdict = every_oom(memory, gpu_memory_bytes)
+            fired.append(verdict)
+            return verdict
+
+        reasons = set()
+        zb_v_early_exits = 0
+        for schedule in _VERDICT_SCHEDULES:
+            for workload in _VERDICT_WORKLOADS:
+                system = system_cls(pipeline_schedule=schedule)
+                for parallel in _candidates(system, workload):
+                    monkeypatch.setattr(base, "_every_candidate_oom", spy)
+                    fired.clear()
+                    shortcut = system.evaluate_strategy(workload, parallel)
+                    monkeypatch.setattr(base, "_every_candidate_oom", lambda *args: False)
+                    swept = system.evaluate_strategy(workload, parallel)
+                    for field in dataclasses.fields(shortcut):
+                        assert getattr(shortcut, field.name) == getattr(swept, field.name), (
+                            schedule, workload, parallel, field.name,
+                        )
+                    reasons.add(shortcut.reason)
+                    if any(fired) and parallel.pipeline_parallel > 1 and (
+                        shortcut.schedule_kind is ScheduleKind.ZB_V
+                    ):
+                        zb_v_early_exits += 1
+                monkeypatch.setattr(base, "_every_candidate_oom", every_oom)
+                report = system.run(workload).to_json()
+                monkeypatch.setattr(base, "_every_candidate_oom", lambda *args: False)
+                assert report == system.run(workload).to_json(), (schedule, workload)
+        assert {None, "oom"} <= reasons
+        if system_cls is MemoSystem:
+            assert "oohm" in reasons  # the swap-schedule verdict keeps precedence
+        if system_cls is MegatronSystem:
+            # ZB-V's wave ratio needs the candidate's stage costs.
+            assert zb_v_early_exits > 0
+
+    def test_oom_verdict_builds_one_schedule_and_simulates_nothing(self, monkeypatch):
+        calls = {"tasks": 0, "simulate": 0, "bound": 0, "build": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(base, "LayerTask", counting("tasks", base.LayerTask))
+        monkeypatch.setattr(base, "simulate_iteration",
+                            counting("simulate", base.simulate_iteration))
+        monkeypatch.setattr(base, "pipeline_lower_bound_for_shape",
+                            counting("bound", base.pipeline_lower_bound_for_shape))
+        monkeypatch.setattr(base, "cached_build_schedule",
+                            counting("build", base.cached_build_schedule))
+        system = MegatronSystem(pipeline_schedule="auto")
+        parallel = ParallelismConfig(tensor_parallel=2, pipeline_parallel=2, micro_batches=8)
+        evaluation = system.evaluate_strategy(Workload("7B", tokens(2048), 4, 8), parallel)
+        assert evaluation.reason == "oom"
+        assert (evaluation.schedules_simulated, evaluation.schedules_pruned) == (0, 0)
+        assert calls == {"tasks": 0, "simulate": 0, "bound": 0, "build": 1}
+
+
+class TestMonteCarloSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True, None])
+    def test_system_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="monte_carlo_seed"):
+            MegatronSystem(monte_carlo_seed=seed)
+
+    def test_system_accepts_non_negative_int_seed(self):
+        assert MegatronSystem(monte_carlo_seed=0).monte_carlo_seed == 0
+        assert MegatronSystem(monte_carlo_seed=7).monte_carlo_seed == 7
+
+    @pytest.mark.parametrize("search", [
+        {"seed": -1}, {"seed": "x"}, {"seed": 1.5},
+        {"jitter": "compute=nan"}, {"objective": "bogus"}, {"replicas": "x"},
+        {"failures": "bogus"}, {"target_iterations": 0},
+    ])
+    def test_grid_rejects_bad_search_at_load_time(self, search):
+        with pytest.raises(GridSpecError, match="bad search settings"):
+            WorkloadGrid.from_spec({"axes": {"model": ["7B"], "gpus": [8]}, "search": search})
