@@ -56,6 +56,7 @@ Invariants (property-tested like PR 7's):
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import heapq
@@ -110,6 +111,12 @@ MAX_SLOWDOWN = 1e4
 #: streams of :func:`repro.sim.stochastic.replica_rng` (which seed with the
 #: plain ``[seed, replica]`` prefix).
 _FAILURE_STREAM = 0x46414C
+
+
+def require_count(name: str, value: object, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` (not a bool) >= ``low``."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an int >= {low} (got {value!r})")
 
 
 def ttrain_objective_base(objective: str) -> str:
@@ -801,6 +808,10 @@ class _ArrivalStream:
                 heapq.heappush(self._heap, (time_s, 0, rank, correlated))
         self._next_preempt_index = 1
         self.events: List[FailureEvent] = []
+        #: Loop-top records of the replica's walk with an infinite target,
+        #: one list per recovery key (see simulate_time_to_train).
+        self.prefixes: dict = {}
+        self.prefix_lock = threading.Lock()
 
     def draw(self) -> FailureEvent:
         """Take the next interruption off the merge (``events`` untouched)."""
@@ -853,7 +864,8 @@ class _LazyTrace:
     Feeds :func:`simulate_time_to_train` events in time order without a
     horizon: the shared events are extended only when a cursor reads past
     their end, so every walk of the same replica reuses the same draws.  Past
-    :data:`_SHARED_EVENTS` the cursor draws from a private fork instead.
+    :data:`_SHARED_EVENTS` the cursor draws from a private fork instead, and
+    its position no longer names its state.
     """
 
     def __init__(
@@ -889,6 +901,16 @@ class _LazyTrace:
             # merge state is final here.
             self._tail = self._stream.fork()
         return self._tail.draw()
+
+    def shared_position(self) -> Optional[int]:
+        """Shared events read so far, or None once reading a private fork."""
+        return self._position if self._tail is None else None
+
+    def seek(self, position: int) -> FailureEvent:
+        """Rewind or advance to ``position``; return the event read last there."""
+        self._position = position
+        self._tail = None
+        return self._events[position - 1]
 
 
 def simulate_time_to_train(
@@ -941,12 +963,16 @@ def simulate_time_to_train(
     :class:`~repro.sim.fastpath.ScheduleProgram`
     (:func:`repro.sim.stochastic.monte_carlo_timeline` stacks all replicas
     into :func:`~repro.sim.fastpath.critical_path_timeline_batch` calls);
-    the walk itself stays per replica -- each interruption reshapes the rest
-    of the walk, so there is no fixed instruction trace to batch.  What is
-    shared is the arrival stream: replica ``r``'s events depend only on
-    ``(spec, num_ranks, seed, r, gpus_per_node)``, never on the iteration
-    time, so every walk in the process reads one memoized copy of it
-    (:func:`repro.sim.fastpath.clear_fastpath_caches` drops it).  Between
+    the walk cannot be batched -- each interruption reshapes the rest of
+    it -- but each replica is walked once per process.  Replica ``r``'s
+    events depend only on ``(spec, num_ranks, seed, r, gpus_per_node)``,
+    never on the iteration time, so every walk reads one memoized copy of
+    them (:func:`repro.sim.fastpath.clear_fastpath_caches` drops it).  And
+    a segmented walk (``0 < interval < inf``) reads the job length only in
+    the tests ``target_work - durable <= interval`` and ``clock >= cap``,
+    monotone along the walk: the walk with an infinite target, recorded at
+    its outer-loop tops on the stream, is every finite walk up to the
+    first top where either test fires, so a walk resumes there.  Between
     events the walk fast-forwards whole checkpoint segments in a tight loop
     that keeps the per-segment float order
     (``end = (start + interval * slowdown) + write``, ``durable +=
@@ -969,16 +995,15 @@ def simulate_time_to_train(
     *exactly* ``target_iterations * iteration_time`` -- no variates drawn,
     no checkpoint cost charged (nothing to recover from), bit for bit.
     """
-    if target_iterations < 1:
-        raise ValueError("target_iterations must be >= 1")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if num_ranks < 1:
-        raise ValueError("num_ranks must be >= 1")
-    if min_replicas < 2:
-        raise ValueError("min_replicas must be >= 2")
+    require_count("target_iterations", target_iterations, 1)
+    require_count("replicas", replicas, 1)
+    require_count("num_ranks", num_ranks, 1)
+    require_count("min_replicas", min_replicas, 2)
+    if gpus_per_node is not None:
+        require_count("gpus_per_node", gpus_per_node, 1)
     if ci_halfwidth is not None and (math.isnan(ci_halfwidth) or ci_halfwidth < 0):
         raise ValueError(f"ci_halfwidth must be non-negative (got {ci_halfwidth})")
+    distribution_ci_halfwidth((), objective)  # raises on an unknown objective
     if isinstance(iteration_time_s, (int, float)):
         per_replica = [float(iteration_time_s)]
     else:
@@ -1034,24 +1059,38 @@ def simulate_time_to_train(
     # continuous, an infinite interval never checkpoints before the end.
     segmented = not continuous and not math.isinf(interval)
     min_ranks = max(int(math.ceil(recovery.min_rank_fraction * num_ranks)), 1)
-    samples: List[float] = []
-    counts: List[int] = []
-    for replica in range(replicas):
-        iter_s = per_replica[replica % len(per_replica)]
-        target_work = target_iterations * iter_s
-        cap = max(target_work, 1e-12) * MAX_SLOWDOWN
-        trace = _LazyTrace(spec, num_ranks, seed, replica, node_size)
-        clock = 0.0          # wall time
-        durable = 0.0        # useful-work seconds checkpointed (or finished)
-        segment_start = 0.0  # wall time the current work segment began
-        surviving = num_ranks
-        dead: set = set()    # ranks removed during elastic continuation
-        interruptions = 0
-        event = trace.next_event()
+    # Every value the walk reads besides the stream and the job length.
+    prefix_key = (interval, write, restart, recovery.elastic, min_ranks)
+
+    def shared(record: tuple, target_work: float, cap: float) -> bool:
+        # Whether a segmented walk to (target_work, cap) reaches this loop
+        # top of the infinite walk in its state: the walk tests target_work
+        # and cap only like this, monotone in durable and clock, which
+        # never decrease.
+        return target_work - record[0] > interval and record[1] < cap
+
+    def walk(trace: _LazyTrace, record: tuple, target_work: float, cap: float,
+             records: Optional[List[tuple]] = None, finish: tuple = ()) -> tuple:
+        # The walk from a loop-top record; with records, the infinite walk
+        # appending its loop tops until one fails shared(..., *finish).
+        durable, clock, surviving, dead, interruptions, position = record
+        dead = set(dead)     # ranks removed during elastic continuation
+        segment_start = clock  # wall time the current work segment began
+        event = trace.seek(position) if position else trace.next_event()
         # One pass per work segment that completes or meets an event: the
         # segment runs from segment_start until the next checkpoint write
         # completes or the job finishes, whichever is first.
         while durable < target_work and clock < cap:
+            if records is not None:
+                position = trace.shared_position()
+                # Past the shared events no position names the state: a
+                # record no walk shares ends the prefix.
+                records.append(
+                    (math.inf, math.inf) if position is None else
+                    (durable, clock, surviving, tuple(dead), interruptions, position)
+                )
+                if not shared(records[-1], *finish):
+                    break
             slowdown = num_ranks / surviving
             remaining = target_work - durable
             if segmented and remaining > interval:
@@ -1134,6 +1173,32 @@ def simulate_time_to_train(
             # not running, there is nothing to interrupt.
             while event.time_s < segment_start:
                 event = trace.next_event()
+        return clock, interruptions
+
+    samples: List[float] = []
+    counts: List[int] = []
+    for replica in range(replicas):
+        iter_s = per_replica[replica % len(per_replica)]
+        target_work = target_iterations * iter_s
+        cap = max(target_work, 1e-12) * MAX_SLOWDOWN
+        trace = _LazyTrace(spec, num_ranks, seed, replica, node_size)
+        # (durable useful work, wall clock, surviving ranks, dead ranks,
+        # interruptions, cursor position) at time 0, before any event.
+        record: tuple = (0.0, 0.0, num_ranks, (), 0, 0)
+        if segmented and shared(record, target_work, cap):
+            # Resume at the last loop top this walk shares with the
+            # replica's infinite walk, extending that walk first if the
+            # finish line may lie past its records.
+            stream = trace._stream
+            with stream.prefix_lock:
+                records = stream.prefixes.setdefault(prefix_key, [])
+                if not records or shared(records[-1], target_work, cap):
+                    start = records.pop() if records else record
+                    walk(trace, start, math.inf, math.inf, records, (target_work, cap))
+                record = records[bisect.bisect_left(
+                    records, True, key=lambda kept: not shared(kept, target_work, cap),
+                ) - 1]
+        clock, interruptions = walk(trace, record, target_work, cap)
         samples.append(min(clock, cap))
         counts.append(interruptions)
         if _stop_early(samples):

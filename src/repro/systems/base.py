@@ -82,6 +82,7 @@ from repro.sim.failures import (
     TimeToTrainDistribution,
     parse_failure_spec,
     parse_recovery_spec,
+    require_count,
     simulate_time_to_train,
     ttrain_objective_base,
 )
@@ -721,11 +722,9 @@ class TrainingSystem(ABC):
                 f"expected one of {RISK_OBJECTIVES + TTRAIN_OBJECTIVES}"
             )
         self.risk_objective = risk_objective
-        if monte_carlo_replicas < 1:
-            raise ValueError("monte_carlo_replicas must be >= 1")
+        require_count("monte_carlo_replicas", monte_carlo_replicas, 1)
         self.monte_carlo_replicas = monte_carlo_replicas
-        if type(monte_carlo_seed) is not int or monte_carlo_seed < 0:  # bool excluded
-            raise ValueError(f"monte_carlo_seed must be a non-negative int, got {monte_carlo_seed!r}")
+        require_count("monte_carlo_seed", monte_carlo_seed, 0)
         self.monte_carlo_seed = monte_carlo_seed
         if isinstance(failures, str):
             failures = parse_failure_spec(failures)
@@ -733,14 +732,14 @@ class TrainingSystem(ABC):
         if isinstance(recovery, str):
             recovery = parse_recovery_spec(recovery)
         self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
-        if target_iterations < 1:
-            raise ValueError("target_iterations must be >= 1")
+        require_count("target_iterations", target_iterations, 1)
         self.target_iterations = target_iterations
-        if monte_carlo_ci_halfwidth is not None and monte_carlo_ci_halfwidth < 0:
-            raise ValueError("monte_carlo_ci_halfwidth must be non-negative")
+        if monte_carlo_ci_halfwidth is not None and not monte_carlo_ci_halfwidth >= 0:
+            raise ValueError(
+                f"monte_carlo_ci_halfwidth must be non-negative (got {monte_carlo_ci_halfwidth})"
+            )
         self.monte_carlo_ci_halfwidth = monte_carlo_ci_halfwidth
-        if stability_replicas < 0:
-            raise ValueError("stability_replicas must be non-negative")
+        require_count("stability_replicas", stability_replicas, 0)
         self.stability_replicas = stability_replicas
         self._in_stability_sweep = False
 

@@ -1153,3 +1153,135 @@ class TestSharedArrivalDraws:
         snapshot = snapshot_fastpath_caches()
         assert set(snapshot) == {"schedules", "timelines", "stage_profiles"}
         assert all(not entries for entries in snapshot.values())
+
+
+class TestSharedWalkPrefix:
+    """A segmented walk resumes from the replica's walk with an infinite
+    target, kept on the arrival stream; walks of one replica with different
+    job lengths, in any order, must each match the frozen walk."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=_SPECS, recovery=_RECOVERIES, num_ranks=st.integers(1, 4),
+        seed=st.integers(0, 3),
+        jobs=st.lists(st.tuples(_ITERATION_TIMES, st.integers(1, 3000)),
+                      min_size=2, max_size=6),
+    )
+    # Preemption with a notice long enough to checkpoint, and one too short.
+    @example(spec=FailureSpec(mtbf_s=4000.0, preempt_every_s=1500.0, preempt_notice_s=60.0),
+             recovery=RecoveryModel(checkpoint_write_s=30.0, checkpoint_interval_s=120.0),
+             num_ranks=2, seed=0, jobs=[(2.0, 900), (2.0, 40), (1.5, 3000), (2.5, 900)])
+    @example(spec=FailureSpec(preempt_every_s=1000.0, preempt_notice_s=5.0),
+             recovery=RecoveryModel(checkpoint_write_s=30.0, restart_overhead_s=10.0,
+                                    checkpoint_interval_s=200.0),
+             num_ranks=3, seed=1, jobs=[(1.0, 2500), (1.0, 300), (3.0, 2500)])
+    # Elastic attrition down to a quarter of the ranks.
+    @example(spec=FailureSpec(mtbf_s=2000.0, correlated_prob=0.3, gpus_per_node=2),
+             recovery=RecoveryModel(checkpoint_write_s=5.0, restart_overhead_s=100.0,
+                                    checkpoint_interval_s=150.0, elastic=True,
+                                    min_rank_fraction=0.25),
+             num_ranks=4, seed=2, jobs=[(1.0, 3000), (0.5, 100), (2.0, 1500), (1.0, 2999)])
+    # A free write (continuous) and an infinite interval walk from time 0.
+    @example(spec=FailureSpec(mtbf_s=3000.0, correlated_prob=0.3),
+             recovery=RecoveryModel(checkpoint_write_s=0.0, restart_overhead_s=50.0),
+             num_ranks=4, seed=0, jobs=[(1.0, 3000), (1.0, 300)])
+    @example(spec=FailureSpec(mtbf_s=3000.0, preempt_every_s=600.0),
+             recovery=RecoveryModel(checkpoint_interval_s=math.inf),
+             num_ranks=2, seed=0, jobs=[(2.0, 1000), (2.0, 100)])
+    # Deep walks: some replicas are interrupted more than _SHARED_EVENTS
+    # times, so the infinite walk leaves the shared events and its cursor
+    # position stops naming its state.
+    @example(spec=FailureSpec(mtbf_s=800.0, correlated_prob=0.5, gpus_per_node=4),
+             recovery=RecoveryModel(checkpoint_interval_s=2000.0, elastic=True,
+                                    min_rank_fraction=0.75),
+             num_ranks=2, seed=3, jobs=[(30.0, 400), (29.0, 400), (31.0, 400), (30.0, 37)])
+    def test_walks_in_any_order_match_the_frozen_walk(self, spec, recovery, num_ranks,
+                                                       seed, jobs):
+        clear_failure_arrival_memo()
+        for iteration_time, target in jobs:
+            expected = _frozen_time_to_train(iteration_time, target, spec, recovery,
+                                             num_ranks=num_ranks, replicas=4, seed=seed)
+            dist = simulate_time_to_train(iteration_time, target, spec, recovery,
+                                          num_ranks=num_ranks, replicas=4, seed=seed)
+            assert (dist.samples, dist.failure_counts) == expected
+
+    def test_threads_extending_one_prefix_walk_like_the_frozen_walk(self):
+        """Threads walking the same replicas to different finish lines at
+        once extend and read the same prefixes."""
+        spec = FailureSpec(mtbf_s=500.0, correlated_prob=0.3, preempt_every_s=3000.0)
+        recovery = RecoveryModel(checkpoint_write_s=5.0, restart_overhead_s=20.0)
+        jobs = [(iteration_time, 2000) for iteration_time in (0.5, 1.0, 1.5, 2.0)] * 4
+        kwargs = dict(num_ranks=4, replicas=8, seed=9)
+        expected = [_frozen_time_to_train(*job, spec, recovery, **kwargs) for job in jobs]
+        clear_failure_arrival_memo()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(simulate_time_to_train, *job, spec, recovery, **kwargs)
+                           for job in jobs]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        assert [(dist.samples, dist.failure_counts) for dist in results] == expected
+
+    @staticmethod
+    def _prefixes(num_ranks, replica):
+        return _arrival_stream(SPEC, num_ranks, 5, replica, 8).prefixes
+
+    def test_segmented_walks_keep_one_prefix_per_recovery(self):
+        clear_failure_arrival_memo()
+        for recovery in (RECOVERY, RecoveryModel(checkpoint_write_s=5.0)):
+            for iteration_time in (2.0, 3.0):
+                simulate_time_to_train(iteration_time, 200, SPEC, recovery,
+                                       num_ranks=4, replicas=2, seed=5)
+        assert len(self._prefixes(4, 0)) == 2
+        assert len(self._prefixes(4, 1)) == 2
+
+    def test_continuous_and_unsegmented_walks_keep_none(self):
+        clear_failure_arrival_memo()
+        for recovery in (RecoveryModel(checkpoint_write_s=0.0),
+                         RecoveryModel(checkpoint_interval_s=math.inf)):
+            simulate_time_to_train(2.0, 200, SPEC, recovery, num_ranks=3,
+                                   replicas=2, seed=5)
+        assert not self._prefixes(3, 0)
+
+    def test_clear_fastpath_caches_drops_the_prefixes(self):
+        clear_fastpath_caches()
+        simulate_time_to_train(2.0, 200, SPEC, RECOVERY, num_ranks=4, replicas=2, seed=5)
+        assert self._prefixes(4, 0)
+        clear_fastpath_caches()
+        assert not self._prefixes(4, 0)
+
+
+class TestWalkArguments:
+    """Counts must be ints in range and the objective known, before any walk."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(target_iterations=10.5),
+        dict(target_iterations=True),
+        dict(target_iterations="10"),
+        dict(min_replicas=2.5),
+        dict(replicas=2.0),
+        dict(num_ranks=np.int64(2)),
+        dict(gpus_per_node=0),
+        dict(gpus_per_node=2.0),
+        dict(objective="ttrain_median"),
+        dict(objective="ttrain_median", ci_halfwidth=None),
+    ])
+    def test_rejects_bad_arguments_up_front(self, kwargs):
+        args = dict(iteration_time_s=1.0, target_iterations=10, spec=SPEC, num_ranks=4,
+                    replicas=4, ci_halfwidth=0.1)
+        args.update(kwargs)
+        with pytest.raises(ValueError):
+            simulate_time_to_train(**args)
+
+    def test_zero_gpus_per_node_fails_before_the_first_correlated_failure(self):
+        with pytest.raises(ValueError, match="gpus_per_node"):
+            simulate_time_to_train(1.0, 10, FailureSpec(mtbf_s=1.0, correlated_prob=1.0),
+                                   num_ranks=4, gpus_per_node=0)
+
+    @pytest.mark.parametrize("objective", TTRAIN_OBJECTIVES + ("mean", "p99", "cvar"))
+    def test_accepts_every_objective_the_ci_estimator_accepts(self, objective):
+        distribution_ci_halfwidth((), objective)
+        simulate_time_to_train(1.0, 10, SPEC, replicas=2, objective=objective)

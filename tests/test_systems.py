@@ -267,3 +267,35 @@ class TestMonteCarloSeedValidation:
     def test_grid_rejects_bad_search_at_load_time(self, search):
         with pytest.raises(GridSpecError, match="bad search settings"):
             WorkloadGrid.from_spec({"axes": {"model": ["7B"], "gpus": [8]}, "search": search})
+
+
+class TestCountSettingValidation:
+    """Job lengths and replica counts are whole numbers, checked when the
+    system is built rather than mid-search."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"target_iterations": 1000.5}, {"target_iterations": True},
+        {"target_iterations": "1000"}, {"target_iterations": 0},
+        {"monte_carlo_replicas": 2.5}, {"monte_carlo_replicas": False},
+        {"monte_carlo_replicas": 0},
+        {"stability_replicas": 1.0}, {"stability_replicas": -1},
+        {"stability_replicas": True},
+        {"monte_carlo_ci_halfwidth": float("nan")}, {"monte_carlo_ci_halfwidth": -0.1},
+    ])
+    def test_system_rejects_bad_counts(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            MegatronSystem(**kwargs)
+
+    def test_system_accepts_int_counts(self):
+        system = MegatronSystem(target_iterations=1000, monte_carlo_replicas=2,
+                                stability_replicas=0, monte_carlo_ci_halfwidth=0.0)
+        assert (system.target_iterations, system.monte_carlo_replicas) == (1000, 2)
+
+    @pytest.mark.parametrize("search", [
+        {"target_iterations": 1000.5}, {"target_iterations": "1000"},
+        {"target_iterations": True}, {"replicas": 2.5},
+    ])
+    def test_grid_rejects_fractional_counts_at_load_time(self, search):
+        with pytest.raises(GridSpecError, match="bad search settings"):
+            WorkloadGrid.from_spec({"axes": {"model": ["7B"], "gpus": [8]}, "search": search})
