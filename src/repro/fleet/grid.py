@@ -69,12 +69,11 @@ class WorkloadPoint:
     global_batch_samples: int
 
     def __post_init__(self) -> None:
-        if self.sequence_length <= 0:
-            raise GridSpecError("sequence_length must be positive")
-        if self.num_gpus <= 0:
-            raise GridSpecError("gpus must be positive")
-        if self.global_batch_samples <= 0:
-            raise GridSpecError("global_batch must be positive")
+        # The workload owns the shape rules: a bad grid fails at load time.
+        try:
+            self.workload()
+        except ValueError as error:
+            raise GridSpecError(f"bad workload point: {error}") from None
 
     def workload(self) -> Workload:
         """The equivalent single-run :class:`~repro.systems.base.Workload`."""
@@ -206,7 +205,7 @@ def _point_sequence_length(entry: Mapping, context: str) -> int:
             f"{context}: seqlen_k and sequence_length are mutually exclusive"
         )
     if "sequence_length" in entry:
-        return int(entry["sequence_length"])
+        return entry["sequence_length"]
     return tokens(entry.get("seqlen_k", 256))
 
 
@@ -258,11 +257,11 @@ class WorkloadGrid:
 
         models = [str(m) for m in _as_list(axes.get("model", ["7B"]))]
         if "sequence_length" in axes:
-            seqlens = [int(s) for s in _as_list(axes["sequence_length"])]
+            seqlens = _as_list(axes["sequence_length"])
         else:
             seqlens = [tokens(k) for k in _as_list(axes.get("seqlen_k", [256]))]
-        gpus = [int(g) for g in _as_list(axes.get("gpus", [8]))]
-        batches = [int(b) for b in _as_list(axes.get("global_batch", [16]))]
+        gpus = _as_list(axes.get("gpus", [8]))
+        batches = _as_list(axes.get("global_batch", [16]))
 
         expanded: List[WorkloadPoint] = []
         seen: set = set()
@@ -286,8 +285,8 @@ class WorkloadGrid:
             point = WorkloadPoint(
                 model=str(entry.get("model", "7B")),
                 sequence_length=_point_sequence_length(entry, f"points[{index}]"),
-                num_gpus=int(entry.get("gpus", 8)),
-                global_batch_samples=int(entry.get("global_batch", 16)),
+                num_gpus=entry.get("gpus", 8),
+                global_batch_samples=entry.get("global_batch", 16),
             )
             if point not in seen:
                 seen.add(point)

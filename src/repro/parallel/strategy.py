@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from repro.model.specs import ModelConfig
@@ -94,6 +95,19 @@ class ParallelismConfig:
         if self.pipeline_parallel <= 1:
             return 0.0
         return (self.pipeline_parallel - 1) / (self.micro_batches + self.pipeline_parallel - 1)
+
+    def per_micro_batch(self) -> "ParallelismConfig":
+        """This strategy with ``micro_batches`` pinned to the PP degree.
+
+        ``micro_batches`` is derived from the global batch, and lowering one
+        micro-batch of a stage never reads it; the pinned copy is the one
+        canonical form every global batch shares, and it never warns.
+        """
+        return replace(self, micro_batches=self.pipeline_parallel)
+
+    def per_micro_batch_key(self) -> tuple:
+        """Hashable identity of :meth:`per_micro_batch`, without building it."""
+        return _PER_MICRO_BATCH_FIELDS(self)
 
     @property
     def has_degenerate_schedule(self) -> bool:
@@ -211,3 +225,8 @@ class ParallelismConfig:
         parts.append(f"recompute={self.recompute.value}")
         parts.append(f"offload={self.offload.value}")
         return ", ".join(parts) if parts else "single GPU"
+
+
+_PER_MICRO_BATCH_FIELDS = operator.attrgetter(*(
+    f.name for f in fields(ParallelismConfig) if f.compare and f.name != "micro_batches"
+))

@@ -534,20 +534,6 @@ class CostModel:
         volume = 2.0 * parameters_per_gpu * self.precision.parameter_bytes * (group - 1) / group
         return volume / bandwidth
 
-    def pipeline_bubble_fraction(self) -> float:
-        """Analytic fraction of iteration time lost to the pipeline bubble.
-
-        The GPipe/1F1B bound ``(p - 1) / (m + p - 1)``; the schedule simulator
-        (:mod:`repro.sim.pipeline`) measures the actual bubble including P2P
-        transfer and swap effects, and the strategy search prefers the
-        simulated value when a schedule is configured.
-        """
-        pp = self.parallel.pipeline_parallel
-        if pp <= 1:
-            return 0.0
-        micro = max(self.parallel.micro_batches, 1)
-        return (pp - 1) / (micro + pp - 1)
-
     def pipeline_p2p_time(self, num_bytes: float) -> float:
         """Transfer time of one inter-stage activation/gradient hand-off.
 

@@ -1058,9 +1058,11 @@ def fastpath_cache_info() -> Dict[str, object]:
 def clear_fastpath_caches() -> None:
     """Drop all memoized schedules, timelines and programs (tests, benches).
 
-    The failure walk's arrival memo, the Monte-Carlo replica draws and the
-    skeletal-bytes memo go too, so a cleared process redraws every failure
-    trace and jitter replica exactly as a fresh one would.
+    The failure walk's arrival memo, the Monte-Carlo replica draws, the
+    skeletal-bytes memo and the strategy-lowering memo
+    (:data:`repro.systems.base._LOWERINGS`) go too, so a cleared process
+    redraws every failure trace and jitter replica and re-lowers every
+    strategy exactly as a fresh one would.
 
     Also advances the cache generation: schedules returned before the clear
     keep their ``_canonical`` marker but their generation stamp is retired,
@@ -1071,6 +1073,7 @@ def clear_fastpath_caches() -> None:
     from repro.sim.costs import clear_stage_profile_store
     from repro.sim.failures import clear_failure_arrival_memo
     from repro.sim.stochastic import _replica_variates
+    from repro.systems.base import clear_lowering_memo
 
     cached_build_schedule.cache_clear()  # bumps the generation
     _cached_fast_timeline.cache_clear()
@@ -1079,6 +1082,7 @@ def clear_fastpath_caches() -> None:
     clear_failure_arrival_memo()
     _replica_variates.cache_clear()
     skeletal_bytes_per_layer.cache_clear()
+    clear_lowering_memo()
 
 
 # --------------------------------------------------------------------------

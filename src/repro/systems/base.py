@@ -33,8 +33,9 @@ from __future__ import annotations
 import functools
 import json
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.config import CalibrationConstants, DEFAULT_CALIBRATION, DEFAULT_PRECISION, PrecisionConfig
 from repro.jsonutil import from_hex_float, hex_float, opt_from_hex_float, opt_hex_float
@@ -120,12 +121,9 @@ class Workload:
     micro_batch_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.sequence_length <= 0:
-            raise ValueError("sequence_length must be positive")
-        if self.num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
-        if self.global_batch_samples <= 0:
-            raise ValueError("global_batch_samples must be positive")
+        for name in ("sequence_length", "num_gpus", "global_batch_samples",
+                     "micro_batch_size"):
+            require_count(name, getattr(self, name), 1)
 
     @property
     def model(self) -> ModelConfig:
@@ -153,7 +151,10 @@ class Workload:
         )
 
     def cluster(self) -> ClusterSpec:
-        return make_a800_cluster(self.num_gpus)
+        return _a800_cluster(self.num_gpus)
+
+
+_a800_cluster = functools.lru_cache(maxsize=64)(make_a800_cluster)
 
 
 @dataclass
@@ -428,27 +429,45 @@ class StrategyEvaluation:
     time_to_train: Optional[TimeToTrainDistribution] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageExecution:
     """One pipeline stage's lowered execution: costs, swap plan and timeline.
 
     Produced by :meth:`TrainingSystem.stage_execution`; the timeline is the
     single-stage executor's result for one micro-batch (swap/recompute stalls
     resolved), which the pipeline simulator consumes as per-stage costs.  The
-    per-layer task list and both timelines are built on first read, so a
-    strategy rejected on memory grounds never pays for a task list or a
-    discrete-event run.
+    per-layer task list, both timelines and the memory estimate are built on
+    first read, so a strategy rejected on memory grounds never pays for a
+    task list or a discrete-event run.  Frozen: one execution is shared by
+    every system and global batch that lowers the same strategy.
     """
 
     cost_model: CostModel
     layer_costs: LayerCosts
+    sequence_length: int
     layers_per_stage: int
     pcie_bandwidth_bytes_per_s: float
     swap_schedule: Optional[SwapSchedule]
     effective_alpha: Optional[float]
     boundary_compute_s: float
     recompute: RecomputeMode
-    _stage_costs_cache: dict = field(default_factory=dict, repr=False)
+    _stage_costs_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def base_memory(self) -> MemoryBreakdown:
+        """Per-GPU memory of the stage before any system-specific scaling."""
+        costs = self.cost_model
+        return estimate_memory(
+            model=costs.model,
+            cluster=costs.cluster,
+            parallel=costs.parallel,
+            sequence_length=self.sequence_length,
+            batch_size=costs.batch_size,
+            offload_alpha=self.effective_alpha or 0.0,
+            planned_transient_peak_bytes=None,
+            precision=costs.precision,
+            calibration=costs.calibration,
+        )
 
     @functools.cached_property
     def tasks(self) -> List[LayerTask]:
@@ -586,6 +605,31 @@ class StageExecution:
         ))
         self._stage_costs_cache[key] = costs
         return costs
+
+
+class _Lowering(NamedTuple):
+    """A strategy's batch-independent lowering (see :data:`_LOWERINGS`)."""
+
+    cost_model: CostModel
+    layer_costs: LayerCosts
+    #: Stage execution per alpha, by ``repr`` (``0.0`` and ``-0.0`` differ).
+    stages: Dict[str, StageExecution]
+
+
+#: Process-wide memo of every strategy's per-micro-batch lowering.  None of
+#: it depends on the global batch, so a fleet grid lowers each strategy once,
+#: not once per point.  The key leaves out ``micro_batches`` (derived from
+#: the global batch, never read by the lowering), and the memoized cost model
+#: holds :meth:`ParallelismConfig.per_micro_batch`.  Entries are pure
+#: functions of their key; ``clear_fastpath_caches()`` empties the memo.
+_LOWERINGS: "OrderedDict[tuple, _Lowering]" = OrderedDict()
+_LOWERINGS_MAXSIZE = 2048
+
+
+def clear_lowering_memo() -> None:
+    """Drop every memoized strategy lowering and cluster spec."""
+    _LOWERINGS.clear()
+    _a800_cluster.cache_clear()
 
 
 class TrainingSystem(ABC):
@@ -1001,8 +1045,9 @@ class TrainingSystem(ABC):
 
         Pure closed-form arithmetic -- no memory estimate, no swap schedule,
         no stage-executor simulation, no schedule build -- which is what
-        makes pruning on it profitable: a pruned strategy costs one
-        :class:`~repro.sim.costs.CostModel` instantiation instead of a full
+        makes pruning on it profitable: a pruned strategy costs one lookup
+        of the memoized lowering (:data:`_LOWERINGS`, whose cost model and
+        layer costs :meth:`stage_execution` reuses) instead of a full
         evaluation.
 
         The floor is the sum of two terms, each provably below what
@@ -1028,15 +1073,7 @@ class TrainingSystem(ABC):
         strategy (property-tested on an exhaustive lattice).
         """
         model = workload.model
-        cost_model = CostModel(
-            model=model,
-            cluster=workload.cluster(),
-            parallel=parallel,
-            batch_size=workload.micro_batch_size,
-            calibration=self.calibration,
-            precision=self.precision,
-        )
-        layer_costs = cost_model.layer_costs(workload.sequence_length)
+        cost_model, layer_costs, _ = self._lowering(workload, parallel)
         micro_iterations = max(
             workload.global_batch_samples // max(parallel.data_parallel, 1), 1,
         )
@@ -1055,6 +1092,31 @@ class TrainingSystem(ABC):
         )
         return (compute_floor + serial_floor) * (1.0 - LOWER_BOUND_SAFETY)
 
+    def _lowering(self, workload: Workload, parallel: ParallelismConfig) -> _Lowering:
+        """The memoized cost model and layer costs of a strategy."""
+        key = (
+            self.calibration, self.precision, workload.model,
+            workload.sequence_length, workload.num_gpus,
+            workload.micro_batch_size, parallel.per_micro_batch_key(),
+        )
+        lowering = _LOWERINGS.get(key)
+        if lowering is not None:
+            _LOWERINGS.move_to_end(key)
+            return lowering
+        cost_model = CostModel(
+            model=workload.model,
+            cluster=workload.cluster(),
+            parallel=parallel.per_micro_batch(),
+            batch_size=workload.micro_batch_size,
+            calibration=self.calibration,
+            precision=self.precision,
+        )
+        lowering = _Lowering(cost_model, cost_model.layer_costs(workload.sequence_length), {})
+        _LOWERINGS[key] = lowering
+        if len(_LOWERINGS) > _LOWERINGS_MAXSIZE:
+            _LOWERINGS.popitem(last=False)
+        return lowering
+
     def stage_execution(
         self,
         workload: Workload,
@@ -1063,26 +1125,22 @@ class TrainingSystem(ABC):
     ) -> StageExecution:
         """Lower one pipeline stage of a strategy to costs and a timeline.
 
-        Builds the cost model and the token-wise swap schedule (when the
-        strategy's offload mode requires one); the per-layer task list and
-        the single-stage discrete-event timeline of one micro-batch follow
-        on first read.  Used by :meth:`_shared_evaluation` and by the
-        ``sim-pipeline`` CLI.
+        Builds the token-wise swap schedule (when the strategy's offload mode
+        requires one) over the memoized cost model; the per-layer task list,
+        the single-stage timeline of one micro-batch and the memory estimate
+        follow on first read.  Memoized, so every global batch shares one
+        execution.  Used by :meth:`_shared_evaluation` and the CLI.
         """
-        model = workload.model
-        cluster = workload.cluster()
-        cost_model = CostModel(
-            model=model,
-            cluster=cluster,
-            parallel=parallel,
-            batch_size=workload.micro_batch_size,
-            calibration=self.calibration,
-            precision=self.precision,
-        )
-        layer_costs = cost_model.layer_costs(workload.sequence_length)
+        cost_model, layer_costs, stages = self._lowering(workload, parallel)
+        execution = stages.get(repr(alpha))
+        if execution is not None:
+            return execution
+        parallel = cost_model.parallel
+        model = cost_model.model
+        node = cost_model.cluster.node
         layers_per_stage = parallel.layers_per_stage(model)
         pcie_bandwidth = (
-            cluster.node.pcie.bandwidth_bytes_per_s
+            node.pcie.bandwidth_bytes_per_s
             * self.calibration.pcie_efficiency
             * PCIE_CONTENTION_FACTOR
         )
@@ -1097,7 +1155,7 @@ class TrainingSystem(ABC):
                 sequence_length=parallel.local_sequence_length(workload.sequence_length),
                 layer_forward_time_s=layer_costs.forward_total_s,
                 pcie_bandwidth_bytes_per_s=pcie_bandwidth,
-                host_capacity_bytes=cluster.node.cpu_memory_per_gpu_bytes,
+                host_capacity_bytes=node.cpu_memory_per_gpu_bytes,
                 num_layers=layers_per_stage,
                 alpha=forced_alpha,
                 tensor_shards=parallel.tensor_parallel,
@@ -1105,17 +1163,19 @@ class TrainingSystem(ABC):
             )
             effective_alpha = schedule.alpha
 
-        boundary = cost_model.embedding_classifier_time(workload.sequence_length)
-        return StageExecution(
+        execution = StageExecution(
             cost_model=cost_model,
             layer_costs=layer_costs,
+            sequence_length=workload.sequence_length,
             layers_per_stage=layers_per_stage,
             pcie_bandwidth_bytes_per_s=pcie_bandwidth,
             swap_schedule=schedule,
             effective_alpha=effective_alpha,
-            boundary_compute_s=boundary,
+            boundary_compute_s=cost_model.embedding_classifier_time(workload.sequence_length),
             recompute=parallel.recompute,
         )
+        stages[repr(alpha)] = execution
+        return execution
 
     def _shared_evaluation(
         self,
@@ -1148,18 +1208,9 @@ class TrainingSystem(ABC):
             )
 
         micro_iterations = max(workload.global_batch_samples // max(parallel.data_parallel, 1), 1)
-        base_memory = estimate_memory(
-            model=model,
-            cluster=cluster,
-            parallel=parallel,
-            sequence_length=workload.sequence_length,
-            batch_size=workload.micro_batch_size,
-            offload_alpha=effective_alpha or 0.0,
-            planned_transient_peak_bytes=None,
-            precision=self.precision,
-            calibration=self.calibration,
+        base_memory = _scale_activations(
+            execution.base_memory, overhead, planned=self.uses_memory_planning,
         )
-        base_memory = _scale_activations(base_memory, overhead, planned=self.uses_memory_planning)
         params_per_gpu = model.num_parameters / (
             parallel.tensor_parallel * parallel.pipeline_parallel
         )
@@ -1306,7 +1357,7 @@ class TrainingSystem(ABC):
             else:
                 # Jitter models pipeline-execution noise; a PP=1 point has no
                 # schedule to perturb and keeps its deterministic estimate.
-                bubble = cost_model.pipeline_bubble_fraction()
+                bubble = parallel.pipeline_bubble_lower_bound()
                 compute_time = micro_iterations * timeline.total_s / max(1.0 - bubble, 1e-9)
             iteration_time = compute_time + per_iteration_serial
             time_to_train: Optional[TimeToTrainDistribution] = None

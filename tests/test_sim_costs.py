@@ -91,12 +91,11 @@ class TestOtherCosts:
         model = make_cost_model(gpt7b, cluster8)
         assert model.optimizer_step_time(2e9) > model.optimizer_step_time(1e9)
 
-    def test_pipeline_bubble_fraction(self, gpt7b, cluster8):
-        no_pp = make_cost_model(gpt7b, cluster8)
-        assert no_pp.pipeline_bubble_fraction() == 0.0
-        pp = make_cost_model(gpt7b, cluster8, pipeline_parallel=4, data_parallel=2, micro_batches=8)
-        assert 0 < pp.pipeline_bubble_fraction() < 1
-        assert pp.pipeline_bubble_fraction() == pytest.approx(3 / 11)
+    def test_pipeline_bubble_lower_bound(self):
+        assert ParallelismConfig().pipeline_bubble_lower_bound() == 0.0
+        pp = ParallelismConfig(pipeline_parallel=4, data_parallel=2, micro_batches=8)
+        assert 0 < pp.pipeline_bubble_lower_bound() < 1
+        assert pp.pipeline_bubble_lower_bound() == pytest.approx(3 / 11)
 
     def test_embedding_classifier_time_positive(self, gpt7b, cluster8):
         assert make_cost_model(gpt7b, cluster8).embedding_classifier_time(65536) > 0

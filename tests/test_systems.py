@@ -1,14 +1,19 @@
 """Tests for the training systems (MEMO, Megatron-LM, DeepSpeed) and metrics."""
 
 import dataclasses
+import functools
 
 import pytest
 
 import repro.systems.base as base
 from repro.config import tokens
-from repro.fleet.grid import GridSpecError, WorkloadGrid
+from repro.fleet.grid import GridSpecError, SearchSettings, WorkloadGrid, WorkloadPoint
+from repro.fleet.planner import plan_fleet, resolve_cache_path
+from repro.hardware.cluster import make_a800_cluster
 from repro.parallel.search import enumerate_strategies
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
+from repro.sim.costs import CostModel
+from repro.sim.fastpath import _read_cache_payload, clear_fastpath_caches
 from repro.sim.schedules import ScheduleKind
 from repro.systems.base import Workload
 from repro.systems.deepspeed import DeepSpeedSystem
@@ -63,6 +68,33 @@ class TestWorkload:
             Workload("7B", 0, 8)
         with pytest.raises(ValueError):
             Workload("7B", 1024, 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("micro_batch_size", 0), ("micro_batch_size", -1), ("micro_batch_size", 1.5),
+        ("global_batch_samples", 2.5), ("global_batch_samples", 0),
+        ("sequence_length", 8192.5), ("sequence_length", 8192.0),
+        ("num_gpus", True), ("num_gpus", 2.0), ("num_gpus", "2"),
+    ])
+    def test_rejects_impossible_shapes_up_front(self, name, value):
+        shape = dict(model_name="7B", sequence_length=8192, num_gpus=2,
+                     global_batch_samples=4, micro_batch_size=1)
+        shape[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+            Workload(**shape)
+
+    @pytest.mark.parametrize("point", [
+        {"global_batch": 2.5}, {"gpus": True}, {"sequence_length": 8192.5},
+        {"global_batch": 0}, {"gpus": "2"},
+    ])
+    def test_grid_rejects_impossible_points_at_load_time(self, point):
+        spec = {"points": [dict({"model": "7B", "seqlen_k": 8, "gpus": 2,
+                                 "global_batch": 4}, **point)]}
+        if "sequence_length" in point:
+            del spec["points"][0]["seqlen_k"]
+        with pytest.raises(GridSpecError, match="bad workload point"):
+            WorkloadGrid.from_spec(spec)
+        with pytest.raises(GridSpecError, match="bad workload point"):
+            WorkloadGrid.from_spec({"axes": {key: [value] for key, value in point.items()}})
 
 
 class TestMemoSystem:
@@ -299,3 +331,119 @@ class TestCountSettingValidation:
     def test_grid_rejects_fractional_counts_at_load_time(self, search):
         with pytest.raises(GridSpecError, match="bad search settings"):
             WorkloadGrid.from_spec({"axes": {"model": ["7B"], "gpus": [8]}, "search": search})
+
+
+#: The lowering-memo lattice: one (model, length, GPUs) shape whose searches
+#: prune strategies and keep PP > 1 points on their Pareto frontiers,
+#: searched at several global batches.
+_MEMO_SHAPE = ("7B", tokens(64), 8)
+_MEMO_BATCHES = (4, 6, 8, 64)
+_MEMO_SYSTEMS = (
+    MegatronSystem, DeepSpeedSystem, MemoSystem,
+    functools.partial(MemoSystem, fixed_alpha=0.5),  # token-wise swap only
+)
+_MEMO_SCHEDULES = (None, "1f1b", "auto")
+
+
+def _unmemoized_lowering(self, workload, parallel):
+    """A fresh, unshared lowering built from the point's own strategy."""
+    cost_model = CostModel(
+        model=workload.model, cluster=make_a800_cluster(workload.num_gpus),
+        parallel=parallel, batch_size=workload.micro_batch_size,
+        calibration=self.calibration, precision=self.precision,
+    )
+    return base._Lowering(cost_model, cost_model.layer_costs(workload.sequence_length), {})
+
+
+def _memo_reports(batches):
+    return {
+        (index, schedule, batch): make(pipeline_schedule=schedule).run(
+            Workload(*_MEMO_SHAPE, global_batch_samples=batch))
+        for index, make in enumerate(_MEMO_SYSTEMS)
+        for schedule in _MEMO_SCHEDULES
+        for batch in batches
+    }
+
+
+class TestLoweringMemo:
+    """Each strategy is lowered once per process and shared by every global
+    batch; every report stays byte-identical in any order, warm or cold."""
+
+    def test_reports_identical_in_any_order_warm_and_cold(self, monkeypatch):
+        clear_fastpath_caches()
+        ascending = _memo_reports(_MEMO_BATCHES)
+        descending = _memo_reports(_MEMO_BATCHES[::-1])
+        clear_fastpath_caches()
+        cold = _memo_reports(_MEMO_BATCHES)
+        # Lowered per point from its own strategy: catches an answer that
+        # reads the batch-dependent micro-batch count from the memo.
+        monkeypatch.setattr(base.TrainingSystem, "_lowering", _unmemoized_lowering)
+        unmemoized = _memo_reports(_MEMO_BATCHES)
+        as_json = [
+            {key: report.to_json() for key, report in reports.items()}
+            for reports in (ascending, descending, cold, unmemoized)
+        ]
+        assert as_json[0] == as_json[1] == as_json[2] == as_json[3]
+        # PP > 1 points scored by the no-schedule analytic bubble reach the
+        # reports (their frontiers), so a wrong bubble shows in the bytes.
+        no_schedule_pp = [
+            point for (_, schedule, _), report in cold.items() if schedule is None
+            for point in report.pareto_frontier.points
+            if point.parallel.pipeline_parallel > 1
+        ]
+        assert no_schedule_pp
+
+    def test_one_frozen_execution_serves_every_batch_and_system(self):
+        parallel = ParallelismConfig(tensor_parallel=4, pipeline_parallel=2,
+                                     recompute=RecomputeMode.TOKEN_WISE,
+                                     offload=OffloadMode.TOKEN_WISE, micro_batches=2)
+        execution = MemoSystem().stage_execution(Workload(*_MEMO_SHAPE), parallel, 0.5)
+        other = MemoSystem(fixed_alpha=0.5).stage_execution(
+            Workload(*_MEMO_SHAPE, global_batch_samples=64),
+            parallel.with_updates(micro_batches=32), 0.5)
+        assert other is execution
+        assert execution.cost_model.parallel.micro_batches == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            execution.effective_alpha = 1.0
+
+    def test_clear_fastpath_caches_empties_the_memo(self):
+        MegatronSystem().run(Workload(*_MEMO_SHAPE))
+        assert base._LOWERINGS
+        clear_fastpath_caches()
+        assert not base._LOWERINGS
+
+    def test_pruned_strategy_builds_no_swap_schedule(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["alpha"])
+            return build(*args, **kwargs)
+
+        build = base.build_swap_schedule
+        monkeypatch.setattr(base, "build_swap_schedule", counting)
+        clear_fastpath_caches()
+        report = _MEMO_SYSTEMS[3](pipeline_schedule="1f1b").run(
+            Workload(*_MEMO_SHAPE, global_batch_samples=6))
+        assert report.strategies_pruned > 0
+        # Every candidate was bounded, so every one has a lowering entry;
+        # only the evaluated ones hold a stage execution and a swap plan.
+        assert len(base._LOWERINGS) == report.strategies_evaluated + report.strategies_pruned
+        lowered = [entry for entry in base._LOWERINGS.values() if entry.stages]
+        assert len(lowered) == report.strategies_evaluated == len(built)
+        clear_fastpath_caches()
+
+    def test_point_order_does_not_change_saved_payload_keys(self, tmp_path):
+        points = tuple(
+            WorkloadPoint("7B", tokens(seqlen_k), 2, batch)
+            for seqlen_k in (8, 16) for batch in (4, 6, 8)
+        )
+        saved = []
+        for name, order in (("forward", points), ("backward", points[::-1])):
+            clear_fastpath_caches()
+            plan_fleet(WorkloadGrid(points=order, search=SearchSettings()),
+                       cache_dir=tmp_path / name)
+            payload = _read_cache_payload(resolve_cache_path(tmp_path / name))
+            saved.append({layer: set(entries) for layer, entries in payload["layers"].items()})
+        clear_fastpath_caches()
+        assert saved[0] == saved[1]
+        assert saved[0]["stage_profiles"]
