@@ -21,6 +21,17 @@ TiB = 1024 * GiB
 K_TOKENS = 1024
 
 
+#: Bound of each per-process memo of the memory-planning path: the iteration
+#: trace, the DSA problem (with its heuristic plan) and MEMO's prepared plan.
+PLAN_MEMO_SIZE = 64
+
+
+def require_count(name: str, value: object, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` (not a bool) >= ``low``."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an int >= {low} (got {value!r})")
+
+
 def tokens(kilotokens: float) -> int:
     """Convert a sequence length expressed in "K" (as in the paper) to tokens."""
     return int(kilotokens * K_TOKENS)

@@ -10,10 +10,14 @@ swap/recompute schedule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.config import DEFAULT_CALIBRATION, DEFAULT_PRECISION, CalibrationConstants, PrecisionConfig
+from repro.config import (
+    DEFAULT_CALIBRATION, DEFAULT_PRECISION, PLAN_MEMO_SIZE, CalibrationConstants, PrecisionConfig,
+    require_count,
+)
 from repro.core.memory_planner import MemoryPlanner, MemoryPlanningResult
 from repro.core.profiler import JobProfile, JobProfiler
 from repro.core.runtime import RuntimeExecutor, RuntimeResult
@@ -36,9 +40,11 @@ class TrainingPlan:
     schedule: SwapSchedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoFramework:
     """End-to-end MEMO pipeline for a single workload.
+
+    Frozen, so its fields are the key of the per-process :meth:`prepare` memo.
 
     Example:
         >>> framework = MemoFramework.for_workload("7B", sequence_length=64 * 1024, num_gpus=8)
@@ -56,6 +62,10 @@ class MemoFramework:
     use_exact_planner: bool = True
     precision: PrecisionConfig = DEFAULT_PRECISION
     calibration: CalibrationConstants = DEFAULT_CALIBRATION
+
+    def __post_init__(self) -> None:
+        require_count("batch_size", self.batch_size, 1)
+        require_count("sequence_length", self.sequence_length, 1)
 
     @classmethod
     def for_workload(
@@ -96,10 +106,18 @@ class MemoFramework:
     def prepare(self, alpha: Optional[float] = None) -> TrainingPlan:
         """Run the profiler, the memory planner and the alpha LP.
 
+        Memoized per process on the framework's fields and ``alpha``
+        (:data:`PLAN_MEMO_SIZE` entries), so a repeated shape shares one
+        plan; ``alpha`` is also keyed by ``repr`` (``0.0`` and ``-0.0`` differ).
+
         Args:
             alpha: optional override of the offload fraction (the Table 5
                 sweep); when None the LP solution is used.
         """
+        return self._prepare(alpha, repr(alpha))
+
+    @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+    def _prepare(self, alpha: Optional[float], alpha_key: str) -> TrainingPlan:
         profiler = JobProfiler(
             model=self.model,
             cluster=self.cluster,

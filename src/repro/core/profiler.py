@@ -11,7 +11,7 @@ planner and the runtime expect them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Tuple
 
 from repro.config import DEFAULT_CALIBRATION, DEFAULT_PRECISION, CalibrationConstants, PrecisionConfig
 from repro.hardware.cluster import ClusterSpec
@@ -41,8 +41,8 @@ class JobProfile:
         pcie_bandwidth_bytes_per_s: effective GPU<->CPU bandwidth.
     """
 
-    layer_forward_requests: List[MemoryRequest]
-    layer_backward_requests: List[MemoryRequest]
+    layer_forward_requests: Tuple[MemoryRequest, ...]
+    layer_backward_requests: Tuple[MemoryRequest, ...]
     layer_costs: LayerCosts
     skeletal_input_bytes: float
     skeletal_attn_bytes: float
@@ -100,14 +100,14 @@ class JobProfiler:
         local_tokens = self.parallel.local_sequence_length(sequence_length)
         tp = self.parallel.tensor_parallel
 
-        forward_requests = layer_forward_trace(
+        forward_requests = tuple(layer_forward_trace(
             self.model, self.batch_size, local_tokens, layer_index=0,
             precision=self.precision, include_skeletal=False,
-        )
-        backward_requests = layer_backward_trace(
+        ))
+        backward_requests = tuple(layer_backward_trace(
             self.model, self.batch_size, local_tokens, layer_index=0,
             precision=self.precision, include_skeletal_frees=False,
-        )
+        ))
         layer_costs = self._cost_model.layer_costs(sequence_length)
         breakdown = skeletal_breakdown_bytes(self.model, self.batch_size, local_tokens, self.precision)
         pcie_bandwidth = (

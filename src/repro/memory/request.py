@@ -1,6 +1,6 @@
 """Memory request primitives shared by the allocators and the planner.
 
-A trace is an ordered list of :class:`MemoryRequest` objects, each a
+A trace is an ordered sequence of :class:`MemoryRequest` objects, each a
 ``malloc`` or ``free`` of a named tensor, mirroring the paper's profiler output
 format ``"malloc tensor_id size"`` / ``"free tensor_id size"`` (Section 4.3.2).
 """
@@ -8,7 +8,7 @@ format ``"malloc tensor_id size"`` / ``"free tensor_id size"`` (Section 4.3.2).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 
 class RequestKind(Enum):
@@ -107,31 +107,3 @@ def tensor_lifespans(trace: Sequence[MemoryRequest]) -> Dict[str, Tuple[int, int
     for tensor_id, (start, size) in open_at.items():
         spans[tensor_id] = (start, len(trace), size)
     return spans
-
-
-def trace_from_strings(lines: Iterable[str]) -> List[MemoryRequest]:
-    """Parse a trace from the profiler's textual ``"malloc id size"`` format."""
-    trace: List[MemoryRequest] = []
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise TraceError(f"line {line_number}: expected 'kind tensor_id size', got {raw!r}")
-        kind_text, tensor_id, size_text = parts
-        try:
-            kind = RequestKind(kind_text)
-        except ValueError:
-            raise TraceError(f"line {line_number}: unknown request kind {kind_text!r}") from None
-        try:
-            size = int(size_text)
-        except ValueError:
-            raise TraceError(f"line {line_number}: invalid size {size_text!r}") from None
-        trace.append(MemoryRequest(kind, tensor_id, size))
-    return trace
-
-
-def trace_to_strings(trace: Sequence[MemoryRequest]) -> List[str]:
-    """Render a trace in the profiler's textual format."""
-    return [str(request) for request in trace]

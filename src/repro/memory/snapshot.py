@@ -61,13 +61,3 @@ class MemoryTimeline:
             "allocated_gib": [p.allocated_bytes / (1024 ** 3) for p in self.points],
             "reserved_gib": [p.reserved_bytes / (1024 ** 3) for p in self.points],
         }
-
-    def downsample(self, max_points: int) -> "MemoryTimeline":
-        """Return a timeline with at most ``max_points`` evenly-spaced samples."""
-        if max_points <= 0:
-            raise ValueError("max_points must be positive")
-        if len(self.points) <= max_points:
-            return MemoryTimeline(points=list(self.points))
-        stride = len(self.points) / max_points
-        sampled = [self.points[int(i * stride)] for i in range(max_points)]
-        return MemoryTimeline(points=sampled)

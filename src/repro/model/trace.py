@@ -13,9 +13,10 @@ lifetime is managed by the rounding buffers instead of the allocator).
 
 from __future__ import annotations
 
-from typing import List, Optional
+import functools
+from typing import List, Optional, Tuple
 
-from repro.config import DEFAULT_PRECISION, PrecisionConfig
+from repro.config import DEFAULT_PRECISION, PLAN_MEMO_SIZE, PrecisionConfig, require_count
 from repro.memory.request import MemoryRequest, RequestKind
 from repro.model.activations import (
     TensorRole,
@@ -239,13 +240,23 @@ def full_model_trace(
     num_layers: Optional[int] = None,
     precision: PrecisionConfig = DEFAULT_PRECISION,
     include_skeletal: bool = True,
-) -> List[MemoryRequest]:
+) -> Tuple[MemoryRequest, ...]:
     """Malloc/free trace of one full training iteration (Figure 8).
 
     Embedding forward, all layer forwards, classifier forward+backward and all
-    layer backwards in reverse order.
+    layer backwards in reverse order.  The shape is validated, then memoized
+    per process (:data:`PLAN_MEMO_SIZE` entries), so the trace is a shared tuple.
     """
+    require_count("batch_size", batch_size, 1)
+    require_count("sequence_length", sequence_length, 1)
+    if num_layers is not None:
+        require_count("num_layers", num_layers, 0)
     layers = model.num_layers if num_layers is None else num_layers
+    return _full_model_trace(model, batch_size, sequence_length, layers, precision, bool(include_skeletal))
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _full_model_trace(model, batch_size, sequence_length, layers, precision, include_skeletal):
     trace: List[MemoryRequest] = []
     trace.extend(embedding_trace(model, batch_size, sequence_length, precision))
     for layer in range(layers):
@@ -263,4 +274,4 @@ def full_model_trace(
                 include_skeletal_frees=include_skeletal,
             )
         )
-    return trace
+    return tuple(trace)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import DEFAULT_PRECISION, PrecisionConfig
+from repro.config import DEFAULT_PRECISION, PrecisionConfig, require_count
 from repro.memory.request import MemoryRequest, RequestKind
 from repro.model.specs import ModelConfig
 from repro.model.trace import (
@@ -79,6 +79,10 @@ class BiLevelPlanner:
     use_exact: bool = True
     precision: PrecisionConfig = DEFAULT_PRECISION
     exact_options: ExactSolverOptions = field(default_factory=ExactSolverOptions)
+
+    def __post_init__(self) -> None:
+        require_count("batch_size", self.batch_size, 1)
+        require_count("sequence_length", self.sequence_length, 1)
 
     def _solve(self, problem: DSAProblem) -> MemoryPlan:
         if self.use_exact:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
+from repro.config import PLAN_MEMO_SIZE
 from repro.memory.request import MemoryRequest, tensor_lifespans
 from repro.planner.plan import MemoryPlan
 
@@ -37,7 +38,8 @@ class DSATensor(NamedTuple("DSATensor", [("tensor_id", str), ("size", int), ("st
 class DSAProblem:
     """An offline DSA instance: tensors whose overlapping lifespans conflict.
 
-    Solvers test overlap on lifespans; :attr:`conflicts` builds the O(n²) edges on first read.
+    Solvers test overlap on lifespans; :attr:`conflicts` builds the O(n²) edges
+    and :attr:`heuristic_plan` the heuristic plan on first read.
     """
 
     tensors: Tuple[DSATensor, ...]
@@ -57,6 +59,13 @@ class DSAProblem:
                 conflicts.add((tensors[a].tensor_id, tensors[b].tensor_id))
             open_indices.append(j)
         return frozenset(conflicts)
+
+    @cached_property
+    def heuristic_plan(self) -> MemoryPlan:
+        """The smaller-peak plan of best fit and first-fit decreasing (read-only, shared)."""
+        from repro.planner.heuristics import solve_best_fit, solve_first_fit_decreasing
+
+        return min((solve_best_fit(self), solve_first_fit_decreasing(self)), key=lambda plan: plan.peak_bytes)
 
     @cached_property
     def _by_id(self) -> Dict[str, DSATensor]:
@@ -148,7 +157,13 @@ def problem_from_tensors(tensors: Sequence[DSATensor]) -> DSAProblem:
 
 
 def problem_from_trace(trace: Sequence[MemoryRequest]) -> DSAProblem:
-    """Build a DSA problem from a malloc/free trace (profiler output)."""
+    """Build a DSA problem from a malloc/free trace (profiler output), memoized
+    per process on its requests: a repeated trace shares one problem and plan."""
+    return _problem_from_trace(tuple(trace))
+
+
+@lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _problem_from_trace(trace: Tuple[MemoryRequest, ...]) -> DSAProblem:
     spans = tensor_lifespans(trace)
     tensors = [
         DSATensor(tensor_id=tensor_id, size=size, start=start, end=end)

@@ -77,6 +77,5 @@ def solve_first_fit_decreasing(problem: DSAProblem) -> MemoryPlan:
 
 
 def solve_heuristic(problem: DSAProblem) -> MemoryPlan:
-    """Run both heuristics and keep the plan with the smaller peak."""
-    candidates = [solve_best_fit(problem), solve_first_fit_decreasing(problem)]
-    return min(candidates, key=lambda plan: plan.peak_bytes)
+    """Run both heuristics and keep the plan with the smaller peak (once per problem)."""
+    return problem.heuristic_plan

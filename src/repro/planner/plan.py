@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -84,8 +85,9 @@ class MemoryPlan:
     """Address assignment for every tensor of a trace plus the resulting peak.
 
     Attributes:
-        entries: mapping from tensor id to its planned placement; a read-only
-            :class:`TiledEntries` for the bi-level planner's full plan.
+        entries: mapping from tensor id to its planned placement; read-only
+            for a solver's plan (a :class:`TiledEntries` for the bi-level
+            planner's full plan), so only a plan built on a dict can ``add``.
         peak_bytes: total contiguous memory the plan needs (max end address).
         solver: name of the solver that produced the plan (for reporting).
     """
@@ -96,20 +98,21 @@ class MemoryPlan:
 
     @classmethod
     def of(cls, entries: Iterable[PlanEntry], solver: str) -> "MemoryPlan":
-        """A plan holding ``entries`` in order (ids must be distinct)."""
+        """A plan holding ``entries`` in order (ids must be distinct), read-only."""
         table: Dict[str, PlanEntry] = {}
         for entry in entries:
             if entry.tensor_id in table:
                 raise ValueError(f"tensor {entry.tensor_id!r} already planned")
             table[entry.tensor_id] = entry
-        return cls(table, max((address + size for _, address, size in table.values()), default=0), solver)
+        peak = max((address + size for _, address, size in table.values()), default=0)
+        return cls(MappingProxyType(table), peak, solver)
 
     def get(self, tensor_id: str) -> Optional[PlanEntry]:
         return self.entries.get(tensor_id)
 
     def add(self, entry: PlanEntry) -> None:
         if not isinstance(self.entries, dict):
-            raise TypeError(f"cannot add {entry.tensor_id!r}: a tiled plan's entries are read-only")
+            raise TypeError(f"cannot add {entry.tensor_id!r}: the plan's entries are read-only")
         if entry.tensor_id in self.entries:
             raise ValueError(f"tensor {entry.tensor_id!r} already planned")
         self.entries[entry.tensor_id] = entry

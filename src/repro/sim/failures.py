@@ -68,6 +68,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.config import require_count
 from repro.jsonutil import (
     from_hex_float,
     from_hex_floats,
@@ -111,12 +112,6 @@ MAX_SLOWDOWN = 1e4
 #: streams of :func:`repro.sim.stochastic.replica_rng` (which seed with the
 #: plain ``[seed, replica]`` prefix).
 _FAILURE_STREAM = 0x46414C
-
-
-def require_count(name: str, value: object, low: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an ``int`` (not a bool) >= ``low``."""
-    if type(value) is not int or value < low:
-        raise ValueError(f"{name} must be an int >= {low} (got {value!r})")
 
 
 def ttrain_objective_base(objective: str) -> str:

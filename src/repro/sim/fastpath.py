@@ -1059,17 +1059,22 @@ def clear_fastpath_caches() -> None:
     """Drop all memoized schedules, timelines and programs (tests, benches).
 
     The failure walk's arrival memo, the Monte-Carlo replica draws, the
-    skeletal-bytes memo and the strategy-lowering memo
-    (:data:`repro.systems.base._LOWERINGS`) go too, so a cleared process
-    redraws every failure trace and jitter replica and re-lowers every
-    strategy exactly as a fresh one would.
+    skeletal-bytes memo, the strategy-lowering memo
+    (:data:`repro.systems.base._LOWERINGS`) and the memory-planning memos
+    (iteration traces, DSA problems with their heuristic plans, MEMO's
+    prepared plans) go too, so a cleared process redraws every failure trace
+    and jitter replica, re-lowers every strategy and re-plans every memory
+    shape exactly as a fresh one would.
 
     Also advances the cache generation: schedules returned before the clear
     keep their ``_canonical`` marker but their generation stamp is retired,
     so :func:`_structure_key` stops routing them through the refilled
     timeline and program caches.
     """
+    from repro.core.framework import MemoFramework
     from repro.model.activations import skeletal_bytes_per_layer
+    from repro.model.trace import _full_model_trace
+    from repro.planner.dsa import _problem_from_trace
     from repro.sim.costs import clear_stage_profile_store
     from repro.sim.failures import clear_failure_arrival_memo
     from repro.sim.stochastic import _replica_variates
@@ -1083,6 +1088,9 @@ def clear_fastpath_caches() -> None:
     _replica_variates.cache_clear()
     skeletal_bytes_per_layer.cache_clear()
     clear_lowering_memo()
+    _full_model_trace.cache_clear()
+    _problem_from_trace.cache_clear()
+    MemoFramework._prepare.cache_clear()
 
 
 # --------------------------------------------------------------------------

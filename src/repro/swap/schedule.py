@@ -10,7 +10,7 @@ layer uses.  It is built from the skeletal-tensor catalogue, an alpha value
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.config import DEFAULT_PRECISION, PrecisionConfig
 from repro.model.activations import skeletal_breakdown_bytes
@@ -53,7 +53,7 @@ class LayerSwapPlan:
 class SwapSchedule:
     """Swap/recompute schedule for all layers of one pipeline stage."""
 
-    layers: List[LayerSwapPlan]
+    layers: Tuple[LayerSwapPlan, ...]
     alpha: float
     alpha_solution: Optional[AlphaSolution]
     buffers: RoundingBuffers
@@ -191,7 +191,7 @@ def build_swap_schedule(
             )
         )
     return SwapSchedule(
-        layers=plans,
+        layers=tuple(plans),
         alpha=alpha_value,
         alpha_solution=solution,
         buffers=buffers,

@@ -37,7 +37,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from repro.config import CalibrationConstants, DEFAULT_CALIBRATION, DEFAULT_PRECISION, PrecisionConfig
+from repro.config import (
+    CalibrationConstants, DEFAULT_CALIBRATION, DEFAULT_PRECISION, PrecisionConfig, require_count,
+)
 from repro.jsonutil import from_hex_float, hex_float, opt_from_hex_float, opt_hex_float
 from repro.hardware.cluster import ClusterSpec, make_a800_cluster
 from repro.model.specs import ModelConfig, get_model_config
@@ -83,7 +85,6 @@ from repro.sim.failures import (
     TimeToTrainDistribution,
     parse_failure_spec,
     parse_recovery_spec,
-    require_count,
     simulate_time_to_train,
     ttrain_objective_base,
 )

@@ -80,15 +80,6 @@ class TestMemoryTimeline:
         with pytest.raises(ValueError):
             timeline.record(0, 10, 5)
 
-    def test_downsample(self):
-        timeline = MemoryTimeline()
-        for step in range(100):
-            timeline.record(step, step, step + 1)
-        sampled = timeline.downsample(10)
-        assert len(sampled) == 10
-        with pytest.raises(ValueError):
-            timeline.downsample(0)
-
     def test_series_in_gib(self):
         timeline = MemoryTimeline()
         timeline.record(0, GiB, 2 * GiB)

@@ -8,8 +8,6 @@ from repro.memory.request import (
     TraceError,
     peak_live_bytes,
     tensor_lifespans,
-    trace_from_strings,
-    trace_to_strings,
     validate_trace,
 )
 from repro.planner.dsa import problem_from_trace
@@ -81,25 +79,3 @@ class TestPeakAndLifespans:
             tensor_lifespans(trace)
         with pytest.raises(TraceError, match="request 3"):
             problem_from_trace(trace)
-
-
-class TestTextRoundTrip:
-    def test_round_trip(self):
-        trace = [malloc("x", 100), free("x", 100)]
-        assert trace_from_strings(trace_to_strings(trace)) == trace
-
-    def test_parses_comments_and_blank_lines(self):
-        lines = ["# comment", "", "malloc t 64", "free t 64"]
-        assert len(trace_from_strings(lines)) == 2
-
-    def test_rejects_malformed_line(self):
-        with pytest.raises(TraceError):
-            trace_from_strings(["malloc t"])
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(TraceError):
-            trace_from_strings(["alloc t 64"])
-
-    def test_rejects_non_integer_size(self):
-        with pytest.raises(TraceError):
-            trace_from_strings(["malloc t big"])
