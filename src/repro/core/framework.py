@@ -27,7 +27,6 @@ from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMod
 from repro.sim.costs import CostModel
 from repro.swap.alpha import AlphaSolution, solve_alpha
 from repro.swap.schedule import SwapSchedule, build_swap_schedule
-from repro.systems.metrics import compute_mfu, compute_tgs
 
 
 @dataclass(frozen=True)
@@ -186,22 +185,3 @@ class MemoFramework:
             gpu_memory_bytes=self.cluster.gpu.memory_bytes,
         )
         return executor.execute()
-
-    # ------------------------------------------------------------------ metrics
-    def estimate_efficiency(self, plan: Optional[TrainingPlan] = None) -> dict:
-        """Convenience summary: iteration time, MFU and TGS for one sample."""
-        result = self.execute(plan)
-        mfu = compute_mfu(
-            self.model, self.sequence_length, 1,
-            self.parallel.total_gpus, self.cluster.gpu, result.iteration_time_s,
-        )
-        tgs = compute_tgs(
-            self.sequence_length, 1, self.parallel.total_gpus, result.iteration_time_s,
-        )
-        return {
-            "iteration_time_s": result.iteration_time_s,
-            "mfu": mfu,
-            "tgs": tgs,
-            "stalls_s": result.stalls_s,
-            "overlap_efficiency": result.overlap_efficiency,
-        }

@@ -7,7 +7,7 @@ CLI can display them without matplotlib (which is unavailable offline).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.report import Series
 
@@ -91,16 +91,6 @@ def ascii_plot(
     )
     lines.append(legend)
     return "\n".join(lines)
-
-
-def plot_named_series(
-    curves: Dict[str, Series],
-    names: Optional[Iterable[str]] = None,
-    **kwargs,
-) -> str:
-    """Plot a subset (or all) of a dict of named series."""
-    selected = list(curves.values()) if names is None else [curves[name] for name in names]
-    return ascii_plot(selected, **kwargs)
 
 
 def sparkline(values: Sequence[float], width: int = 60) -> str:

@@ -27,16 +27,6 @@ class LinkSpec:
         if self.latency_s < 0:
             raise ValueError("latency must be non-negative")
 
-    def transfer_time(self, num_bytes: float, efficiency: float = 1.0) -> float:
-        """Time to move ``num_bytes`` over this link at a given efficiency."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if not 0 < efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
-        if num_bytes == 0:
-            return 0.0
-        return self.latency_s + num_bytes / (self.bandwidth_bytes_per_s * efficiency)
-
 
 # GPU <-> CPU bandwidth reported in the paper's setup: 32 GB/s.
 PCIE_GEN4_X16 = LinkSpec("PCIe-Gen4-x16", bandwidth_bytes_per_s=32 * GiB, latency_s=10e-6)

@@ -11,23 +11,25 @@ training performance".
 
 Invariants of the pipeline-schedule scoring helpers:
 
-* PP candidates are scored with a *simulated* schedule
-  (:func:`simulate_pipeline_schedule`), never the analytic bubble formula;
-  the schedule candidate set (:data:`PIPELINE_SCHEDULE_CANDIDATES`) covers
-  1F1B, interleaved-1F1B and the zero-bubble ZB-H1 and ZB-V;
+* PP candidates are scored with a *simulated* schedule, never the analytic
+  bubble formula; the schedule candidate set
+  (:data:`PIPELINE_SCHEDULE_CANDIDATES`) covers 1F1B, interleaved-1F1B and
+  the zero-bubble ZB-H1 and ZB-V;
 * scoring runs on the critical-path fast evaluator
   (:func:`repro.sim.fastpath.evaluate_schedule`, memoized) by default; the
   event engine is the opt-in ``engine="event"`` / ``validate=True`` oracle,
   and the two are bit-identical on makespan, bubble and peak memory -- the
   search may switch evaluators without changing any reported number;
-* candidates whose analytic lower bound
-  (:func:`repro.sim.fastpath.pipeline_lower_bound`) already exceeds the
-  incumbent are pruned without simulation; pruning is conservative (the
-  bound is a true lower bound) and therefore never changes the selected
-  strategy, only the work spent finding it.  The same machinery lifts one
-  level up: :func:`find_best_strategy` takes a per-strategy analytic floor
-  and skips whole parallelism points before any cost model is built or any
-  schedule swept.  Pruned/evaluated counts at both levels are observable
+* one pruned loop, :func:`pruned_sweep`, owns both levels of the search:
+  each strategy's schedule sweep (candidates from
+  :func:`schedule_candidates`, floored by
+  :func:`repro.sim.fastpath.pipeline_lower_bound_for_shape`) and
+  :func:`find_best_strategy`, whose per-strategy analytic floor skips whole
+  parallelism points before any cost model is built or any schedule swept.
+  A candidate whose floor cannot beat the incumbent is skipped without
+  evaluation; pruning is conservative (the floor is a true lower bound) and
+  therefore never changes the selected strategy, only the work spent
+  finding it.  Pruned/evaluated counts at both levels are observable
   through :class:`SearchStats`;
 * :func:`resolve_schedule` is total over the sweeps' inputs: interleaving
   falls back to plain 1F1B when its structural constraints (divisibility,
@@ -41,8 +43,8 @@ Invariants of the pipeline-schedule scoring helpers:
   (``global_batch // dp``), not the config placeholder, whenever the caller
   supplies it;
 * a degenerate pipeline point (``micro_batches < pipeline_parallel``) warns
-  once per search, not once per candidate
-  (:func:`find_best_strategy` deduplicates).
+  once per search, not once per candidate (:func:`find_best_strategy` runs
+  its sweep inside :func:`deduplicated_degenerate_warnings`).
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ from __future__ import annotations
 import contextlib
 import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple, TypeVar,
+)
 
 from repro.jsonutil import from_hex_float, hex_float
 
@@ -62,30 +66,8 @@ from repro.parallel.strategy import (
     ParallelismConfig,
     RecomputeMode,
 )
-from repro.sim.fastpath import (
-    cached_build_schedule,
-    evaluate_schedule,
-    pipeline_lower_bound_for_shape,
-    wave_ratio_from_costs,
-)
-from repro.sim.failures import (
-    DEFAULT_RECOVERY,
-    DEFAULT_TARGET_ITERATIONS,
-    FailureSpec,
-    RecoveryModel,
-    TTRAIN_OBJECTIVES,
-    simulate_time_to_train,
-    ttrain_objective_base,
-)
-from repro.sim.pipeline import PipelineTimeline, StageCosts
+from repro.sim.fastpath import cached_build_schedule
 from repro.sim.schedules import ScheduleKind, V_WAVE_CHUNKS, WaveRatio
-from repro.sim.stochastic import (
-    DEFAULT_REPLICAS,
-    JitterSpec,
-    MakespanDistribution,
-    RISK_OBJECTIVES,
-    monte_carlo_timeline,
-)
 
 #: Schedule kinds a training system's strategy search may try for a PP
 #: candidate (GPipe is omitted: it is dominated by 1F1B on both time and
@@ -417,7 +399,7 @@ def deduplicated_degenerate_warnings() -> Iterator[None]:
 def prune_evaluation_order(bounds: Sequence[float]) -> List[int]:
     """Candidate indices in ascending-(bound, index) order.
 
-    Shared by every pruned candidate loop: evaluating the best-bound
+    The evaluation order of :func:`pruned_sweep`: evaluating the best-bound
     candidate first maximises what the incumbent can prune, while the
     original index breaks ties so that, together with :func:`cannot_beat`,
     the selected candidate is provably the same as an in-order sweep's.
@@ -438,6 +420,75 @@ def cannot_beat(bound: Optional[float], incumbent_total: Optional[float]) -> boo
         bound is not None and bound > 0.0
         and incumbent_total is not None and bound >= incumbent_total
     )
+
+
+class Scored(Protocol):
+    """What :func:`pruned_sweep` reads of an evaluated candidate."""
+
+    feasible: bool
+    iteration_time_s: float
+
+
+_Result = TypeVar("_Result", bound=Scored)
+
+
+def pruned_sweep(
+    bounds: Sequence[Optional[float]],
+    evaluate: Callable[[int], _Result],
+    floor_offset: Optional[Callable[[], float]] = None,
+) -> Tuple[Optional[_Result], List[_Result], int]:
+    """The argmin over candidates ``0 .. len(bounds) - 1``, pruned by their floors.
+
+    The one pruned candidate loop of the search: the schedule sweep of a
+    strategy (:meth:`repro.systems.base.TrainingSystem._shared_evaluation`)
+    and the strategy search (:func:`find_best_strategy`) both run it.
+
+    Candidates are evaluated in ascending-(bound, index) order
+    (:func:`prune_evaluation_order`, a ``None`` bound sorting as zero).  Once
+    a feasible incumbent exists, a candidate whose positive bound plus
+    ``floor_offset()`` :func:`cannot_beat` the incumbent's time is skipped
+    without evaluation; the offset is computed at most once, on the first
+    such check, and defaults to zero.  ``evaluate(index)`` returns a result
+    with ``feasible`` and ``iteration_time_s``.
+
+    The winner is the feasible result with the lowest ``(time, index)``;
+    with none feasible nothing can be pruned and it is index 0's verdict.
+    Ties keep the lowest index, so -- as long as each bound plus the offset
+    is a true lower bound -- the winner is the one an unpruned in-order
+    sweep picks (property-tested at both levels).
+
+    Returns:
+        ``(best, evaluated, pruned)``: the winner (``None`` only when there
+        are no candidates), every evaluated result in evaluation order and
+        the number of candidates pruned.
+    """
+    offset: Optional[float] = None
+    best: Optional[_Result] = None
+    best_index = -1
+    evaluated: List[_Result] = []
+    pruned = 0
+    for index in prune_evaluation_order(
+        [bound if bound is not None else 0.0 for bound in bounds]
+    ):
+        bound = bounds[index]
+        if bound is not None and bound > 0.0 and best is not None and best.feasible:
+            if offset is None:
+                offset = floor_offset() if floor_offset is not None else 0.0
+            if cannot_beat(bound + offset, best.iteration_time_s):
+                pruned += 1
+                continue
+        result = evaluate(index)
+        evaluated.append(result)
+        if best is None or _sweep_rank(result, index) < _sweep_rank(best, best_index):
+            best, best_index = result, index
+    return best, evaluated, pruned
+
+
+def _sweep_rank(result: Scored, index: int) -> Tuple[bool, float, int]:
+    """Sort key of :func:`pruned_sweep`: feasible first, then time, then index."""
+    if result.feasible:
+        return False, result.iteration_time_s, index
+    return True, 0.0, index
 
 
 def enumerate_strategies(
@@ -560,6 +611,39 @@ def resolve_schedule_shape(
     return schedule_kind, stages, micro_batches, chunks
 
 
+def schedule_candidates(
+    parallel: ParallelismConfig,
+    kinds: Sequence[ScheduleKind],
+    num_micro_batches: Optional[int] = None,
+    num_chunks: int = 1,
+    num_layers: Optional[int] = None,
+) -> List[Tuple[ScheduleKind, Tuple[ScheduleKind, int, int, int]]]:
+    """The ``(requested kind, resolved shape)`` pairs a schedule sweep evaluates.
+
+    Each kind is first degraded with :func:`viable_schedule_kind` (the sweep
+    must stay total over legal parallelism points, while an explicit
+    :func:`resolve_schedule_shape` call rejects an impossible ZB-V) and then
+    resolved to its shape -- shapes, not built schedules, so pruned
+    candidates never materialise op lists.  ``num_chunks`` tunes
+    interleaving only: ZB-V's chunk count is structural and does not inherit
+    it.  Kinds resolving to an already listed ``(kind, chunks)`` shape (e.g.
+    interleaved falling back to plain 1F1B) are dropped, so the first
+    request of each shape is kept.
+    """
+    candidates = []
+    seen = set()
+    for kind in kinds:
+        viable = viable_schedule_kind(kind, parallel.pipeline_parallel, num_layers)
+        shape = resolve_schedule_shape(
+            parallel, viable, num_micro_batches,
+            1 if viable is ScheduleKind.ZB_V else num_chunks, num_layers,
+        )
+        if (shape[0], shape[3]) not in seen:
+            seen.add((shape[0], shape[3]))
+            candidates.append((kind, shape))
+    return candidates
+
+
 def resolve_schedule(
     parallel: ParallelismConfig,
     schedule_kind: ScheduleKind,
@@ -589,269 +673,6 @@ def resolve_schedule(
         parallel, schedule_kind, num_micro_batches, num_chunks, num_layers,
     )
     return cached_build_schedule(*shape, wave_ratio=wave_ratio)
-
-
-def _uniform_schedule_costs(
-    chunks: int,
-    forward_s: float,
-    backward_s: float,
-    p2p_time_s: float = 0.0,
-    offload_bytes: float = 0.0,
-    prefetch_bytes: float = 0.0,
-    activation_bytes: float = 0.0,
-    backward_weight_fraction: Optional[float] = None,
-) -> StageCosts:
-    """Uniform per-chunk costs for a resolved schedule shape (quick scorer)."""
-    backward = backward_s / chunks
-    return StageCosts(
-        forward_s=forward_s / chunks,
-        backward_s=backward,
-        # Encode the transfer as (1 byte, 1/t bytes/s) so callers can hand us a
-        # precomputed per-hop time from CostModel.pipeline_p2p_time.
-        p2p_bytes=1.0 if p2p_time_s > 0 else 0.0,
-        offload_bytes=offload_bytes / chunks,
-        prefetch_bytes=prefetch_bytes / chunks,
-        activation_bytes=activation_bytes / chunks,
-        backward_weight_s=(
-            None if backward_weight_fraction is None
-            else backward_weight_fraction * backward
-        ),
-    )
-
-
-def simulate_pipeline_schedule(
-    parallel: ParallelismConfig,
-    schedule_kind: ScheduleKind,
-    forward_s: float,
-    backward_s: float,
-    num_micro_batches: Optional[int] = None,
-    num_chunks: int = 1,
-    p2p_time_s: float = 0.0,
-    offload_bytes: float = 0.0,
-    prefetch_bytes: float = 0.0,
-    activation_bytes: float = 0.0,
-    pcie_bandwidth_bytes_per_s: float = 16e9,
-    backward_weight_fraction: Optional[float] = None,
-    num_layers: Optional[int] = None,
-    engine: str = "fast",
-    validate: bool = False,
-) -> PipelineTimeline:
-    """Score one PP strategy point by evaluating its pipeline schedule.
-
-    The per-stage forward/backward times come from the single-stage executor
-    (swap/recompute stalls already resolved); the returned timeline's
-    ``total_s`` and ``bubble_fraction`` replace the analytic
-    ``(p - 1) / (m + p - 1)`` approximation in the strategy search.
-    ``backward_weight_fraction`` feeds the grad-input/grad-weight split of
-    zero-bubble schedules (ignored by fused kinds).  ``engine``/``validate``
-    select the critical-path fast path (default) or the event-engine oracle
-    (:func:`repro.sim.fastpath.evaluate_schedule`).
-    """
-    shape = resolve_schedule_shape(
-        parallel, schedule_kind, num_micro_batches, num_chunks, num_layers,
-    )
-    costs = _uniform_schedule_costs(
-        shape[3], forward_s, backward_s,
-        p2p_time_s=p2p_time_s,
-        offload_bytes=offload_bytes,
-        prefetch_bytes=prefetch_bytes,
-        activation_bytes=activation_bytes,
-        backward_weight_fraction=backward_weight_fraction,
-    )
-    ratio = wave_ratio_from_costs(costs) if shape[0] is ScheduleKind.ZB_V else None
-    schedule = cached_build_schedule(*shape, wave_ratio=ratio)
-    return evaluate_schedule(
-        schedule,
-        costs,
-        p2p_bandwidth_bytes_per_s=(1.0 / p2p_time_s) if p2p_time_s > 0 else float("inf"),
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-        engine=engine,
-        validate=validate,
-    )
-
-
-def best_pipeline_schedule(
-    parallel: ParallelismConfig,
-    forward_s: float,
-    backward_s: float,
-    candidates: Sequence[ScheduleKind] = PIPELINE_SCHEDULE_CANDIDATES,
-    num_micro_batches: Optional[int] = None,
-    num_chunks: int = 2,
-    p2p_time_s: float = 0.0,
-    backward_weight_fraction: Optional[float] = None,
-    num_layers: Optional[int] = None,
-    engine: str = "fast",
-    validate: bool = False,
-    prune: bool = True,
-    stats: Optional[SearchStats] = None,
-    objective: str = "mean",
-    jitter: Optional[JitterSpec] = None,
-    replicas: int = DEFAULT_REPLICAS,
-    seed: int = 0,
-    ci_halfwidth: Optional[float] = None,
-    failures: Optional[FailureSpec] = None,
-    recovery: Optional[RecoveryModel] = None,
-    target_iterations: int = DEFAULT_TARGET_ITERATIONS,
-    failure_ranks: Optional[int] = None,
-    gpus_per_node: Optional[int] = None,
-) -> Tuple[ScheduleKind, PipelineTimeline]:
-    """Evaluate every schedule candidate for a PP point and keep the fastest.
-
-    Candidates that resolve to the same schedule (e.g. interleaved falling
-    back to 1F1B) are deduplicated; ties keep the earlier candidate.
-    Candidates are evaluated in ascending-lower-bound order and one whose
-    analytic lower bound cannot beat the incumbent is pruned without
-    evaluation (counted in ``stats.schedules_pruned`` when a
-    :class:`SearchStats` accumulator is passed) -- the bound is conservative
-    and ties fall back to candidate order, so pruning never changes the
-    winner.  Returns the *requested* kind alongside its timeline, so callers
-    can re-resolve it.  This is the uniform-cost quick scorer; the training
-    systems run the same candidate sweep with heterogeneous per-stage costs
-    and per-candidate memory checks
-    (:meth:`repro.systems.base.TrainingSystem._shared_evaluation`).
-
-    Risk-adjusted selection: with a non-null ``jitter`` spec each surviving
-    candidate is additionally replicated ``replicas`` times under seeded
-    perturbations (:func:`repro.sim.stochastic.monte_carlo_timeline`) and
-    candidates compete on ``objective`` -- ``"mean" | "p50" | "p95" | "p99"
-    | "cvar"`` of the makespan distribution -- instead of the deterministic
-    makespan.  Every jitter multiplier is >= 1, so each draw's makespan (and
-    therefore every risk score) sits at or above the deterministic makespan
-    and the analytic lower bound: pruning against the incumbent's risk score
-    stays conservative and argmax-invariant.  The returned timeline is the
-    winner's *deterministic* timeline (the distribution is a scoring device,
-    not a replacement schedule); with a null/absent jitter spec every
-    objective degenerates to the deterministic makespan and the selection is
-    bit-identical to the deterministic sweep.
-
-    Failure-adjusted selection: a ``ttrain_*`` objective scores each
-    candidate by the *effective per-iteration time* of a checkpoint-restart
-    walk (:func:`repro.sim.failures.simulate_time_to_train`) over
-    ``target_iterations`` iterations under the ``failures`` process and the
-    ``recovery`` model, composing with jitter (the walk's per-replica
-    iteration times are the jittered makespans when a jitter spec is
-    active).  The walk's samples are >= the ideal time, so the effective
-    iteration time is >= the deterministic makespan and the analytic bound
-    stays a conservative floor -- pruning remains argmax-invariant.  A null
-    ``failures`` spec degrades each ``ttrain_*`` objective to its base
-    statistic (and, with jitter also null, to the deterministic makespan
-    bit for bit).
-
-    Variance-aware budgeting: ``ci_halfwidth`` forwards to
-    :func:`repro.sim.stochastic.monte_carlo_timeline`'s sequential stopping
-    -- replication per candidate stops once the objective estimator's 95% CI
-    half-width is under the bound, with ``replicas`` as the hard cap.
-    """
-    if not candidates:
-        raise ValueError("candidates must not be empty")
-    ttrain = objective in TTRAIN_OBJECTIVES
-    if not ttrain and objective not in RISK_OBJECTIVES:
-        raise ValueError(
-            f"unknown risk objective {objective!r}; expected one of "
-            f"{RISK_OBJECTIVES + TTRAIN_OBJECTIVES}"
-        )
-    base_objective = ttrain_objective_base(objective) if ttrain else objective
-    failures_active = ttrain and failures is not None and not failures.is_null
-    mc_active = jitter is not None and not jitter.is_null
-    bandwidth = (1.0 / p2p_time_s) if p2p_time_s > 0 else float("inf")
-    entries = []  # (bound, position, kind, resolved shape, costs, wave ratio)
-    seen = set()
-    for position, kind in enumerate(candidates):
-        kind = viable_schedule_kind(kind, parallel.pipeline_parallel, num_layers)
-        shape = resolve_schedule_shape(
-            parallel, kind,
-            num_micro_batches,
-            # The chunk request tunes interleaving; ZB-V's chunk count is
-            # structural and must not inherit it.
-            1 if kind is ScheduleKind.ZB_V else num_chunks,
-            num_layers,
-        )
-        key = (shape[0], shape[3])
-        if key in seen:
-            continue
-        seen.add(key)
-        costs = _uniform_schedule_costs(
-            shape[3], forward_s, backward_s,
-            p2p_time_s=p2p_time_s,
-            backward_weight_fraction=backward_weight_fraction,
-        )
-        ratio = wave_ratio_from_costs(costs) if shape[0] is ScheduleKind.ZB_V else None
-        bound = (
-            pipeline_lower_bound_for_shape(
-                *shape, costs, p2p_bandwidth_bytes_per_s=bandwidth,
-            )
-            if prune else 0.0
-        )
-        entries.append((bound, position, kind, shape, costs, ratio))
-
-    best: Optional[Tuple[ScheduleKind, PipelineTimeline]] = None
-    best_score: Optional[float] = None
-    best_position = -1
-    for index in prune_evaluation_order([entry[0] for entry in entries]):
-        bound, position, kind, shape, costs, ratio = entries[index]
-        # Every jitter draw's makespan is >= the deterministic makespan, so
-        # the analytic bound under-estimates every risk score too -- pruning
-        # against the incumbent's risk score remains conservative.
-        if prune and cannot_beat(bound, best_score):
-            if stats is not None:
-                stats.schedules_pruned += 1
-            continue
-        schedule = cached_build_schedule(*shape, wave_ratio=ratio)
-        timeline = evaluate_schedule(
-            schedule, costs,
-            p2p_bandwidth_bytes_per_s=bandwidth,
-            engine=engine, validate=validate,
-        )
-        if mc_active:
-            distribution = monte_carlo_timeline(
-                schedule, costs, jitter, replicas=replicas, seed=seed,
-                p2p_bandwidth_bytes_per_s=bandwidth, validate=validate,
-                ci_halfwidth=ci_halfwidth, objective=base_objective,
-            )
-            iteration_samples: Sequence[float] = distribution.samples
-            score = distribution.score(base_objective)
-        else:
-            iteration_samples = (timeline.total_s,)
-            score = timeline.total_s
-        if failures_active:
-            score = simulate_time_to_train(
-                iteration_samples, target_iterations, failures,
-                recovery if recovery is not None else DEFAULT_RECOVERY,
-                num_ranks=(
-                    failure_ranks if failure_ranks is not None
-                    else parallel.total_gpus
-                ),
-                replicas=replicas, seed=seed, gpus_per_node=gpus_per_node,
-                ci_halfwidth=ci_halfwidth, objective=objective,
-            ).score(objective)
-        if stats is not None:
-            stats.schedules_simulated += 1
-        if best is None or score < best_score or (
-            score == best_score and position < best_position
-        ):
-            best = (kind, timeline)
-            best_score = score
-            best_position = position
-    assert best is not None
-    return best
-
-
-def simulated_bubble_fraction(
-    parallel: ParallelismConfig,
-    schedule_kind: ScheduleKind,
-    forward_s: float,
-    backward_s: float,
-    num_chunks: int = 1,
-    p2p_time_s: float = 0.0,
-) -> float:
-    """Measured bubble fraction of a PP candidate under a concrete schedule."""
-    if parallel.pipeline_parallel <= 1:
-        return 0.0
-    timeline = simulate_pipeline_schedule(
-        parallel, schedule_kind, forward_s, backward_s,
-        num_chunks=num_chunks, p2p_time_s=p2p_time_s,
-    )
-    return timeline.bubble_fraction
 
 
 def find_best_strategy(
@@ -894,36 +715,15 @@ def find_best_strategy(
     """
     ordered = list(candidates)
     bounds: List[Optional[float]] = [None] * len(ordered)
-    order = list(range(len(ordered)))
     if strategy_bound is not None:
         bounds = [strategy_bound(candidate) for candidate in ordered]
-        order = prune_evaluation_order(
-            [bound if bound is not None else 0.0 for bound in bounds]
-        )
-    evaluated: List[EvaluatedStrategy] = []
-    best: Optional[EvaluatedStrategy] = None
-    best_index = -1
+
+    def evaluate_index(index: int) -> EvaluatedStrategy:
+        return EvaluatedStrategy(ordered[index], *evaluate(ordered[index]))
+
     with deduplicated_degenerate_warnings():
-        for index in order:
-            candidate = ordered[index]
-            if (
-                best is not None
-                and cannot_beat(bounds[index], best.iteration_time_s)
-            ):
-                if stats is not None:
-                    stats.strategies_pruned += 1
-                continue
-            feasible, time_s, reason = evaluate(candidate)
-            if stats is not None:
-                stats.strategies_evaluated += 1
-            record = EvaluatedStrategy(candidate, feasible, time_s, reason)
-            evaluated.append(record)
-            if not feasible:
-                continue
-            if best is None or record.iteration_time_s < best.iteration_time_s or (
-                record.iteration_time_s == best.iteration_time_s
-                and index < best_index
-            ):
-                best = record
-                best_index = index
-    return best, evaluated
+        best, evaluated, pruned = pruned_sweep(bounds, evaluate_index)
+    if stats is not None:
+        stats.strategies_evaluated += len(evaluated)
+        stats.strategies_pruned += pruned
+    return (best if best is not None and best.feasible else None), evaluated

@@ -136,30 +136,6 @@ class ParallelismConfig:
         """Ways the sequence dimension is split outside the TP group."""
         return self.context_parallel * self.ulysses_parallel
 
-    def validate_for(self, model: ModelConfig, num_gpus: int) -> None:
-        """Check the strategy is legal for a model and a GPU count.
-
-        Raises:
-            ValueError: when the degrees do not multiply to ``num_gpus``, the
-                attention heads cannot be divided, or the layers cannot be
-                divided across pipeline stages.
-        """
-        if self.total_gpus != num_gpus:
-            raise ValueError(
-                f"strategy uses {self.total_gpus} GPUs but {num_gpus} are available"
-            )
-        heads_split = self.tensor_parallel * self.ulysses_parallel
-        if model.num_heads % heads_split != 0:
-            raise ValueError(
-                f"attention heads ({model.num_heads}) not divisible by "
-                f"tensor_parallel x ulysses_parallel ({heads_split})"
-            )
-        if model.num_layers % self.pipeline_parallel != 0:
-            raise ValueError(
-                f"layers ({model.num_layers}) not divisible by pipeline_parallel "
-                f"({self.pipeline_parallel})"
-            )
-
     def layers_per_stage(self, model: ModelConfig) -> int:
         """Transformer layers per pipeline stage."""
         return model.num_layers // self.pipeline_parallel

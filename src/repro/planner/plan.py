@@ -80,19 +80,22 @@ class TiledEntries(Mapping[str, PlanEntry]):
         return repr(self._entries())
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryPlan:
     """Address assignment for every tensor of a trace plus the resulting peak.
 
+    Frozen, with read-only entries, because the planners memoize and share
+    their plans (:meth:`repro.core.framework.MemoFramework.prepare` returns
+    the same plan for the same shape).
+
     Attributes:
-        entries: mapping from tensor id to its planned placement; read-only
-            for a solver's plan (a :class:`TiledEntries` for the bi-level
-            planner's full plan), so only a plan built on a dict can ``add``.
+        entries: mapping from tensor id to its planned placement (a
+            :class:`TiledEntries` for the bi-level planner's full plan).
         peak_bytes: total contiguous memory the plan needs (max end address).
         solver: name of the solver that produced the plan (for reporting).
     """
 
-    entries: Mapping[str, PlanEntry] = field(default_factory=dict)
+    entries: Mapping[str, PlanEntry] = field(default_factory=lambda: MappingProxyType({}))
     peak_bytes: int = 0
     solver: str = "unknown"
 
@@ -109,14 +112,6 @@ class MemoryPlan:
 
     def get(self, tensor_id: str) -> Optional[PlanEntry]:
         return self.entries.get(tensor_id)
-
-    def add(self, entry: PlanEntry) -> None:
-        if not isinstance(self.entries, dict):
-            raise TypeError(f"cannot add {entry.tensor_id!r}: the plan's entries are read-only")
-        if entry.tensor_id in self.entries:
-            raise ValueError(f"tensor {entry.tensor_id!r} already planned")
-        self.entries[entry.tensor_id] = entry
-        self.peak_bytes = max(self.peak_bytes, entry.end)
 
     def __len__(self) -> int:
         return len(self.entries)

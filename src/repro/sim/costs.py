@@ -136,17 +136,6 @@ class StageCostProfile:
     def total_layers(self) -> int:
         return sum(self.layers_per_stage)
 
-    @property
-    def is_uniform(self) -> bool:
-        """True when every stage is identical (no boundary extras, equal layers)."""
-        return (
-            len(set(self.layers_per_stage)) == 1
-            and self.embedding_forward_s == 0.0
-            and self.embedding_backward_s == 0.0
-            and self.classifier_forward_s == 0.0
-            and self.classifier_backward_s == 0.0
-        )
-
 
 def uneven_layer_partition(
     num_layers: int,

@@ -58,13 +58,3 @@ class RoundingBuffers:
     def assignments(self, num_layers: int) -> List[BufferAssignment]:
         """Buffer assignment for every layer of the model."""
         return [self.assignment(layer) for layer in range(num_layers)]
-
-    def reuse_dependency(self, layer_index: int) -> int:
-        """Index of the earlier layer whose offload must finish before
-        ``layer_index`` may overwrite its buffer (``i - num_buffers``).
-
-        Returns -1 when there is no dependency (the first ``num_buffers``
-        layers write into untouched buffers).
-        """
-        previous = layer_index - self.num_buffers
-        return previous if previous >= 0 else -1

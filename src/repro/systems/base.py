@@ -51,14 +51,12 @@ from repro.parallel.search import (
     ParetoPoint,
     SearchStats,
     StrategySearchSpace,
-    cannot_beat,
     deduplicated_degenerate_warnings,
     enumerate_strategies,
     find_best_strategy,
     pareto_frontier,
-    prune_evaluation_order,
-    resolve_schedule_shape,
-    viable_schedule_kind,
+    pruned_sweep,
+    schedule_candidates,
 )
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.costs import CostModel, LayerCosts
@@ -1278,35 +1276,9 @@ class TrainingSystem(ABC):
                 cached_build_schedule(*shape, wave_ratio=wave_ratio_for(shape))
                 if shape is not None else None
             )
-            in_flight = 1.0
-            if pipeline_schedule is not None:
-                # peak_in_flight counts chunk-level passes; each holds only
-                # 1/num_chunks of the stage's per-micro-batch activations.  A
-                # zero-bubble schedule additionally pins a fraction of a
-                # micro-batch's skeletal bytes per deferred grad-weight op --
-                # likewise a per-chunk stash, so a chunked split schedule
-                # (ZB-V, with two resident chunk stashes per rank) charges
-                # each deferred W 1/num_chunks of the full-micro-batch stash.
-                # Activations peak on the first rank, weight stashes on the
-                # last, so take the max of the *combined* per-rank value.
-                peaks = pipeline_schedule.peak_in_flight()
-                stashes = (
-                    pipeline_schedule.peak_deferred_weights()
-                    if pipeline_schedule.kind.splits_backward else None
-                )
-                in_flight = max(
-                    (
-                        peaks[rank]
-                        + (
-                            ZB_WEIGHT_STASH_FRACTION * stashes[rank]
-                            if stashes is not None else 0.0
-                        )
-                    ) / pipeline_schedule.num_chunks
-                    for rank in range(pipeline_schedule.num_stages)
-                )
             memory = base_memory
-            if in_flight > 1:
-                memory = _scale_pipeline_in_flight(memory, in_flight)
+            if pipeline_schedule is not None:
+                memory = _scale_pipeline_in_flight(memory, pipeline_schedule)
             if not memory.fits(cluster.gpu.memory_bytes):
                 return StrategyEvaluation(
                     feasible=False, iteration_time_s=float("inf"), reason="oom",
@@ -1407,43 +1379,19 @@ class TrainingSystem(ABC):
                 time_to_train=time_to_train,
             )
 
-        auto = self.pipeline_schedule == "auto"
-
-        def resolve_candidate(kind: ScheduleKind) -> Tuple[ScheduleKind, int, int, int]:
-            chunks = self.pipeline_chunks
-            if kind is ScheduleKind.INTERLEAVED and auto:
-                # The auto sweep should try *real* interleaving even when the
-                # system was constructed with the default single chunk.
-                chunks = max(chunks, 2)
-            # ZB-V's chunk count is structural (always two V-placed chunks),
-            # so it must not inherit the interleave chunk request; when the
-            # model cannot fill two chunks per rank the kind degrades to
-            # ZB-H1 -- the sweep must stay total over legal parallelism
-            # points, while explicit resolve_schedule_shape calls reject.
-            kind = viable_schedule_kind(kind, parallel.pipeline_parallel, model.num_layers)
-            if kind is ScheduleKind.ZB_V:
-                chunks = 1
-            # num_layers caps the chunk count so every virtual stage holds at
-            # least one layer: over-asking degrades, never throws -- the
-            # search may not crash on a legal parallelism point.  Shapes, not
-            # built schedules: pruned candidates never materialise op lists.
-            return resolve_schedule_shape(
-                parallel, kind, micro_iterations, chunks, num_layers=model.num_layers,
-            )
-
-        candidates: List[Tuple[Optional[ScheduleKind], Optional[Tuple[ScheduleKind, int, int, int]]]] = []
+        candidates: List[Tuple[Optional[ScheduleKind], Optional[Tuple[ScheduleKind, int, int, int]]]] = [(None, None)]
         if parallel.pipeline_parallel > 1 and self.pipeline_schedule is not None:
-            kinds = PIPELINE_SCHEDULE_CANDIDATES if auto else (self.pipeline_schedule,)
-            seen = set()
-            for kind in kinds:
-                shape = resolve_candidate(kind)
-                key = (shape[0], shape[3])
-                if key in seen:
-                    continue  # e.g. interleaved falling back to plain 1F1B
-                seen.add(key)
-                candidates.append((kind, shape))
-        else:
-            candidates.append((None, None))
+            auto = self.pipeline_schedule == "auto"
+            # The auto sweep tries *real* interleaving even when the system
+            # was constructed with the default single chunk; num_layers caps
+            # the chunk count so every virtual stage holds at least one layer.
+            candidates = schedule_candidates(
+                parallel,
+                PIPELINE_SCHEDULE_CANDIDATES if auto else (self.pipeline_schedule,),
+                micro_iterations,
+                max(self.pipeline_chunks, 2) if auto else self.pipeline_chunks,
+                num_layers=model.num_layers,
+            )
 
         # Loop-invariant pipeline transfer model, shared by the pruning bound
         # and every candidate evaluation.
@@ -1465,53 +1413,26 @@ class TrainingSystem(ABC):
             # without bounding, building or simulating the others.
             return evaluate_with_schedule(*candidates[0])
 
-        bounds: List[Optional[float]] = []
-        for kind, shape in candidates:
-            bound: Optional[float] = None
-            if self.prune_schedule_sweep and shape is not None:
-                bound = pipeline_lower_bound_for_shape(
-                    *shape, stage_costs_for(shape),
-                    p2p_bandwidth_bytes_per_s=p2p_bandwidth,
-                )
-            bounds.append(bound)
-
-        serial_floor: Optional[float] = None
-        simulated = 0
-        pruned = 0
-        best: Optional[StrategyEvaluation] = None
-        best_index = -1
-        for index in prune_evaluation_order(
-            [bound if bound is not None else 0.0 for bound in bounds]
-        ):
-            kind, shape = candidates[index]
-            bound = bounds[index]
-            if bound is not None and bound > 0.0 and best is not None and best.feasible:
-                # Prune: the candidate's iteration time is its schedule time
-                # plus serial overhead, bounded below by the (safety-scaled,
-                # so strictly under-estimating) schedule lower bound plus a
-                # serial floor from the unscaled footprint -- the
-                # reorganisation stall only grows with the in-flight count.
-                if serial_floor is None:
-                    serial_floor = serial_overhead(base_memory)[1]
-                if cannot_beat(bound + serial_floor, best.iteration_time_s):
-                    pruned += 1
-                    continue
-            candidate = evaluate_with_schedule(kind, shape)
-            if candidate.pipeline is not None:
-                simulated += 1
-            if not candidate.feasible:
-                if best is None or (not best.feasible and index < best_index):
-                    best, best_index = candidate, index
-                continue
-            if best is None or not best.feasible or (
-                candidate.iteration_time_s < best.iteration_time_s
-            ) or (
-                candidate.iteration_time_s == best.iteration_time_s
-                and index < best_index
-            ):
-                best, best_index = candidate, index
-        assert best is not None
-        best.schedules_simulated = simulated
+        bounds = [
+            pipeline_lower_bound_for_shape(
+                *shape, stage_costs_for(shape), p2p_bandwidth_bytes_per_s=p2p_bandwidth,
+            )
+            if self.prune_schedule_sweep and shape is not None else None
+            for _, shape in candidates
+        ]
+        # A candidate's iteration time is its schedule time plus serial
+        # overhead, so its floor is the (safety-scaled, strictly
+        # under-estimating) schedule bound plus the serial overhead of the
+        # unscaled footprint -- the reorganisation stall only grows with the
+        # in-flight count.
+        best, evaluated, pruned = pruned_sweep(
+            bounds,
+            lambda index: evaluate_with_schedule(*candidates[index]),
+            floor_offset=lambda: serial_overhead(base_memory)[1],
+        )
+        best.schedules_simulated = sum(
+            candidate.pipeline is not None for candidate in evaluated
+        )
         best.schedules_pruned = pruned
         return best
 
@@ -1539,17 +1460,33 @@ def _scale_activations(memory: MemoryBreakdown, factor: float, planned: bool) ->
     )
 
 
-def _scale_pipeline_in_flight(memory: MemoryBreakdown, in_flight: float) -> MemoryBreakdown:
-    """Charge per-micro-batch state once per in-flight micro-batch.
+def _scale_pipeline_in_flight(memory: MemoryBreakdown, schedule: PipelineSchedule) -> MemoryBreakdown:
+    """Charge per-micro-batch state once per micro-batch the schedule holds in flight.
 
-    Under a pipeline schedule a stage holds up to ``in_flight`` micro-batches
-    between their forward and backward passes (a fraction-weighted count for
-    interleaved schedules, whose chunk passes each pin only part of a stage):
-    each keeps its skeletal activations (or, for swapped systems, its
-    resident rounding-buffer share and its host copy).  Transient tensors and
-    the classifier working set are reused micro-batch by micro-batch and stay
-    charged once.
+    Under a pipeline schedule a stage holds micro-batches between their
+    forward and backward passes: each keeps its skeletal activations (or,
+    for swapped systems, its resident rounding-buffer share and its host
+    copy).  Transient tensors and the classifier working set are reused
+    micro-batch by micro-batch and stay charged once.
+
+    ``peak_in_flight`` counts chunk-level passes; each holds only
+    1/num_chunks of the stage's per-micro-batch activations.  A zero-bubble
+    schedule additionally pins a fraction of a micro-batch's skeletal bytes
+    per deferred grad-weight op -- likewise a per-chunk stash, so a chunked
+    split schedule (ZB-V, with two resident chunk stashes per rank) charges
+    each deferred W 1/num_chunks of the full-micro-batch stash.  Activations
+    peak on the first rank, weight stashes on the last, so the count is the
+    max of the *combined* per-rank value.
     """
+    peaks = schedule.peak_in_flight()
+    stashes = schedule.peak_deferred_weights() if schedule.kind.splits_backward else None
+    in_flight = max(
+        (
+            peaks[rank]
+            + (ZB_WEIGHT_STASH_FRACTION * stashes[rank] if stashes is not None else 0.0)
+        ) / schedule.num_chunks
+        for rank in range(schedule.num_stages)
+    )
     if in_flight <= 1:
         return memory
     return MemoryBreakdown(

@@ -74,11 +74,6 @@ class TestFramework:
         pinned = framework.prepare(alpha=0.25)
         assert pinned.schedule.alpha == pytest.approx(0.25)
 
-    def test_estimate_efficiency(self, framework, plan):
-        summary = framework.estimate_efficiency(plan)
-        assert 0.2 < summary["mfu"] < 0.7
-        assert summary["tgs"] > 0
-
     def test_for_workload_validates_divisibility(self):
         with pytest.raises(ValueError):
             MemoFramework.for_workload("7B", tokens(64), num_gpus=8,

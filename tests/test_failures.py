@@ -38,7 +38,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.config import tokens
-from repro.parallel.search import SearchStats, best_pipeline_schedule
+from repro.parallel.search import SearchStats
 from repro.parallel.strategy import ParallelismConfig
 from repro.sim.failures import (
     DEFAULT_RECOVERY,
@@ -74,7 +74,10 @@ from repro.sim.stochastic import (
     distribution_ci_halfwidth,
 )
 from repro.systems.base import Workload
+from repro.systems.megatron import MegatronSystem
 from repro.systems.memo import MemoSystem
+
+from schedule_sweep import sweep_schedules
 
 COSTS = StageCosts(forward_s=1.0, backward_s=2.0, p2p_bytes=1e6, backward_weight_s=0.8)
 SPEC = FailureSpec(mtbf_s=5000.0, correlated_prob=0.3, preempt_every_s=20000.0,
@@ -590,13 +593,13 @@ class TestTtrainArgmaxInvariance:
                 num_micro_batches=m, backward_weight_fraction=share,
                 objective="ttrain_p99", jitter=self.JITTER, replicas=8, seed=5,
                 failures=self.FAILURES, recovery=self.RECOVERY,
-                failure_ranks=p, target_iterations=50,
+                target_iterations=50,
             )
             stats = SearchStats()
-            pruned = best_pipeline_schedule(
+            pruned = sweep_schedules(
                 parallel, forward, backward, prune=True, stats=stats, **kwargs,
             )
-            unpruned = best_pipeline_schedule(
+            unpruned = sweep_schedules(
                 parallel, forward, backward, prune=False, **kwargs,
             )
             assert pruned[0] is unpruned[0], (p, m, forward, backward, share)
@@ -616,19 +619,17 @@ class TestTtrainArgmaxInvariance:
                 num_micro_batches=m, backward_weight_fraction=share,
                 objective="ttrain_p99", jitter=self.JITTER, replicas=24, seed=5,
                 failures=self.FAILURES, recovery=self.RECOVERY,
-                failure_ranks=p, target_iterations=50,
+                target_iterations=50,
             )
-            fixed = best_pipeline_schedule(parallel, forward, backward, **kwargs)
-            adaptive = best_pipeline_schedule(
+            fixed = sweep_schedules(parallel, forward, backward, **kwargs)
+            adaptive = sweep_schedules(
                 parallel, forward, backward, ci_halfwidth=0.01, **kwargs,
             )
             assert adaptive[0] is fixed[0], (p, m, forward, backward, share)
 
     def test_ttrain_objective_requires_known_name(self):
-        parallel = ParallelismConfig(pipeline_parallel=2, micro_batches=4)
         with pytest.raises(ValueError):
-            best_pipeline_schedule(parallel, 1.0, 2.0, objective="ttrain_p42",
-                                   failures=self.FAILURES)
+            MegatronSystem(risk_objective="ttrain_p42", failures=self.FAILURES)
         with pytest.raises(ValueError):
             ttrain_objective_base("p99")
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import tokens
-from repro.parallel.search import SearchStats, best_pipeline_schedule, resolve_schedule
+from repro.parallel.search import SearchStats, resolve_schedule
 from repro.parallel.strategy import DegenerateScheduleWarning, ParallelismConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fastpath import (
@@ -29,6 +29,8 @@ from repro.sim.pipeline import StageCosts, simulate_pipeline
 from repro.sim.schedules import OpKind, PipelineSchedule, ScheduleKind, StageOp, build_schedule
 from repro.systems.base import Workload
 from repro.systems.memo import MemoSystem
+
+from schedule_sweep import sweep_schedules
 
 COSTS = StageCosts(forward_s=1.0, backward_s=2.0)
 
@@ -159,7 +161,7 @@ class TestSearchPruning:
     def test_stats_count_pruned_candidates(self):
         parallel = ParallelismConfig(pipeline_parallel=4, micro_batches=8)
         stats = SearchStats()
-        kind, timeline = best_pipeline_schedule(
+        kind, timeline = sweep_schedules(
             parallel, 1.0, 2.0, backward_weight_fraction=0.5, stats=stats,
         )
         assert stats.schedules_simulated >= 1

@@ -11,7 +11,7 @@ from repro.config import (
 )
 from repro.hardware.cluster import ClusterSpec, NodeSpec, make_a800_cluster
 from repro.hardware.gpu import A800, H100_SXM, get_gpu_spec
-from repro.hardware.links import INFINIBAND_200G, NVLINK_A800, PCIE_GEN4_X16, LinkSpec
+from repro.hardware.links import INFINIBAND_200G, NVLINK_A800, PCIE_GEN4_X16
 
 
 class TestConfig:
@@ -52,18 +52,6 @@ class TestLinks:
         assert PCIE_GEN4_X16.bandwidth_bytes_per_s == 32 * GiB
         assert NVLINK_A800.bandwidth_bytes_per_s == 400 * GiB
         assert INFINIBAND_200G.bandwidth_bytes_per_s == 200 * GiB
-
-    def test_transfer_time_includes_latency(self):
-        link = LinkSpec("test", bandwidth_bytes_per_s=1e9, latency_s=1e-3)
-        assert link.transfer_time(0) == 0.0
-        assert link.transfer_time(1e9) == pytest.approx(1.001)
-        assert link.transfer_time(1e9, efficiency=0.5) == pytest.approx(2.001)
-
-    def test_transfer_time_validation(self):
-        with pytest.raises(ValueError):
-            PCIE_GEN4_X16.transfer_time(-1)
-        with pytest.raises(ValueError):
-            PCIE_GEN4_X16.transfer_time(10, efficiency=0)
 
 
 class TestNodeAndCluster:

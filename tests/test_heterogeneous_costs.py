@@ -69,13 +69,6 @@ class TestStageCostProfile:
         with pytest.raises(ValueError, match="backward_weight_fraction"):
             StageCostProfile(layers_per_stage=(2,), backward_weight_fraction=1.5)
 
-    def test_is_uniform(self):
-        assert StageCostProfile(layers_per_stage=(4, 4)).is_uniform
-        assert not StageCostProfile(layers_per_stage=(4, 3)).is_uniform
-        assert not StageCostProfile(
-            layers_per_stage=(4, 4), classifier_forward_s=0.1,
-        ).is_uniform
-
     def test_cost_model_profile_covers_every_layer(self):
         cost_model = make_cost_model()
         profile = cost_model.stage_cost_profile(tokens(64), 4)

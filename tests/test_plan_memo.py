@@ -157,8 +157,8 @@ class TestSharedResultsAreReadOnly:
         trace = _trace(1024)
         plan = solve_heuristic(problem_from_trace(trace))
         before = _plan_bytes(plan)
-        with pytest.raises(TypeError, match="read-only"):
-            plan.add(PlanEntry("extra", plan.peak_bytes, 64))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.peak_bytes = 0
         with pytest.raises(TypeError):
             plan.entries["extra"] = PlanEntry("extra", plan.peak_bytes, 64)
         assert _plan_bytes(solve_heuristic(problem_from_trace(trace))) == before
@@ -169,13 +169,23 @@ class TestSharedResultsAreReadOnly:
         before = _prepared_bytes(prepared)
         for plan in (prepared.planning.plan, prepared.planning.details.layer_forward_plan,
                      prepared.planning.details.model_plan):
-            with pytest.raises(TypeError, match="read-only"):
-                plan.add(PlanEntry("extra", plan.peak_bytes, 64))
+            with pytest.raises(TypeError):
+                plan.entries["extra"] = PlanEntry("extra", plan.peak_bytes, 64)
         with pytest.raises(AttributeError):
             prepared.schedule.layers.append(prepared.schedule.layers[0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             _framework(1024).sequence_length = 4096
         assert _prepared_bytes(_framework(1024, exact=True).prepare()) == before
+
+    @pytest.mark.parametrize("name, value", [("peak_bytes", 0), ("solver", "poisoned")])
+    def test_prepared_plan_cannot_be_rebound(self, name, value):
+        plan = _framework(1024).prepare().planning.plan
+        peak, solver = plan.peak_bytes, plan.solver
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, value)
+        again = _framework(1024).prepare().planning.plan
+        assert again is plan
+        assert (again.peak_bytes, again.solver) == (peak, solver) and peak > 0
 
 
 class TestShapeValidation:

@@ -8,11 +8,11 @@ from repro.planner.plan import MemoryPlan, PlanEntry
 
 
 def simple_plan():
-    plan = MemoryPlan(solver="test")
-    plan.add(PlanEntry("a", 0, 100))
-    plan.add(PlanEntry("b", 100, 50))
-    plan.add(PlanEntry("c", 0, 60))  # reuses a's region (they never overlap in time)
-    return plan
+    return MemoryPlan.of([
+        PlanEntry("a", 0, 100),
+        PlanEntry("b", 100, 50),
+        PlanEntry("c", 0, 60),  # reuses a's region (they never overlap in time)
+    ], "test")
 
 
 class TestPlannedAllocator:

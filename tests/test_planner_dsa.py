@@ -1,5 +1,7 @@
 """Tests for the offline DSA problem construction and plan validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.memory.request import MemoryRequest, RequestKind
@@ -73,50 +75,51 @@ class TestProblemConstruction:
 class TestPlanValidation:
     def test_valid_plan_passes(self):
         problem = problem_from_tensors(tensors_abc())
-        plan = MemoryPlan()
-        plan.add(PlanEntry("a", 0, 100))
-        plan.add(PlanEntry("b", 100, 50))
-        plan.add(PlanEntry("c", 0, 70))
+        plan = MemoryPlan.of([
+            PlanEntry("a", 0, 100),
+            PlanEntry("b", 100, 50),
+            PlanEntry("c", 0, 70),
+        ], "test")
         problem.validate_plan(plan)
 
     def test_missing_tensor_rejected(self):
         problem = problem_from_tensors(tensors_abc())
-        plan = MemoryPlan()
-        plan.add(PlanEntry("a", 0, 100))
+        plan = MemoryPlan.of([PlanEntry("a", 0, 100)], "test")
         with pytest.raises(ValueError, match="missing"):
             problem.validate_plan(plan)
 
     def test_size_mismatch_rejected(self):
         problem = problem_from_tensors(tensors_abc())
-        plan = MemoryPlan()
-        plan.add(PlanEntry("a", 0, 99))
-        plan.add(PlanEntry("b", 100, 50))
-        plan.add(PlanEntry("c", 200, 70))
+        plan = MemoryPlan.of([
+            PlanEntry("a", 0, 99),
+            PlanEntry("b", 100, 50),
+            PlanEntry("c", 200, 70),
+        ], "test")
         with pytest.raises(ValueError, match="size mismatch"):
             problem.validate_plan(plan)
 
     def test_conflicting_overlap_rejected(self):
         problem = problem_from_tensors(tensors_abc())
-        plan = MemoryPlan()
-        plan.add(PlanEntry("a", 0, 100))
-        plan.add(PlanEntry("b", 50, 50))  # overlaps a while conflicting
-        plan.add(PlanEntry("c", 200, 70))
+        plan = MemoryPlan.of([
+            PlanEntry("a", 0, 100),
+            PlanEntry("b", 50, 50),  # overlaps a while conflicting
+            PlanEntry("c", 200, 70),
+        ], "test")
         with pytest.raises(ValueError, match="overlap"):
             problem.validate_plan(plan)
 
 
 class TestMemoryPlan:
     def test_peak_tracks_max_end(self):
-        plan = MemoryPlan()
-        plan.add(PlanEntry("a", 0, 10))
-        plan.add(PlanEntry("b", 50, 10))
+        plan = MemoryPlan.of([
+            PlanEntry("a", 0, 10),
+            PlanEntry("b", 50, 10),
+        ], "test")
         assert plan.peak_bytes == 60
 
     def test_duplicate_entry_rejected(self):
-        plan = MemoryPlan()
-        plan.add(PlanEntry("a", 0, 10))
-        with pytest.raises(ValueError):
-            plan.add(PlanEntry("a", 10, 10))
+        with pytest.raises(ValueError, match="'a' already planned"):
+            MemoryPlan.of([PlanEntry("a", 0, 10), PlanEntry("a", 10, 10)], "test")
 
     def test_tiled_plan_is_read_only(self):
         entries = TiledEntries({"embed": PlanEntry("embed", 0, 8)}, [("fwd.x", 8, 4)], num_layers=2)
@@ -125,8 +128,10 @@ class TestMemoryPlan:
         assert list(plan.entries) == ["embed", "L0.fwd.x", "L1.fwd.x"]
         assert plan.get("L1.fwd.x") == PlanEntry("L1.fwd.x", 8, 4)
         assert "L2.fwd.x" not in plan
-        with pytest.raises(TypeError, match="read-only"):
-            plan.add(PlanEntry("b", 20, 10))
+        with pytest.raises(TypeError):
+            plan.entries["b"] = PlanEntry("b", 20, 10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.peak_bytes = 0
 
     def test_tiled_plan_without_layers_holds_the_model_entries(self):
         # With no layer to stamp, a repeated suffix never inserts a name twice.
@@ -134,10 +139,8 @@ class TestMemoryPlan:
         assert dict(entries) == {"L0.fwd.x": PlanEntry("L0.fwd.x", 0, 8)}
 
     def test_union_of_disjoint_plans(self):
-        first = MemoryPlan()
-        first.add(PlanEntry("a", 0, 10))
-        second = MemoryPlan()
-        second.add(PlanEntry("b", 20, 10))
+        first = MemoryPlan.of([PlanEntry("a", 0, 10)], "test")
+        second = MemoryPlan.of([PlanEntry("b", 20, 10)], "test")
         union = MemoryPlan.union([first, second])
         assert len(union) == 2
         assert union.peak_bytes == 30

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.plotting import ascii_plot, plot_named_series, sparkline
+from repro.experiments.plotting import ascii_plot, sparkline
 from repro.experiments.report import Series
 
 
@@ -37,11 +37,6 @@ class TestAsciiPlot:
             ascii_plot([make_series()], width=5)
         with pytest.raises(ValueError):
             ascii_plot([Series("empty")])
-
-    def test_plot_named_series_subset(self):
-        curves = {"a": make_series("a"), "b": make_series("b")}
-        chart = plot_named_series(curves, names=["a"])
-        assert "a" in chart and "b" not in chart.splitlines()[-1].replace("b", "b")
 
 
 class TestSparkline:

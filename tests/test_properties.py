@@ -250,9 +250,10 @@ class TestDSAIndexProperties:
         plan = solve_best_fit(problem)
         a, b = data.draw(st.sampled_from(sorted(problem.conflicts)))
         moved = PlanEntry(a, plan.entries[b].address, plan.entries[a].size)
-        corrupted = MemoryPlan(solver=plan.solver)
-        for entry in plan.entries.values():
-            corrupted.add(moved if entry.tensor_id == a else entry)
+        corrupted = MemoryPlan.of(
+            (moved if entry.tensor_id == a else entry for entry in plan.entries.values()),
+            plan.solver,
+        )
         with pytest.raises(ValueError, match="overlap in the plan"):
             problem.validate_plan(corrupted)
 
@@ -272,9 +273,11 @@ class TestLifespanNativeDSA:
     )
     @settings(max_examples=200, deadline=None)
     def test_validate_plan_equals_pairwise_reference(self, tensors, addresses):
-        plan = MemoryPlan(solver="drawn")
-        for tensor, address in zip(tensors, addresses):
-            plan.add(PlanEntry(tensor.tensor_id, address, tensor.size))
+        plan = MemoryPlan.of(
+            (PlanEntry(tensor.tensor_id, address, tensor.size)
+             for tensor, address in zip(tensors, addresses)),
+            "drawn",
+        )
         # Brute force: every conflicting pair, in input order, whose regions overlap.
         overlapping = {
             (a, b) for a, b in _pairwise_conflicts(tensors)
@@ -322,13 +325,19 @@ class TestLifespanNativeDSA:
 
 def _eager_compose(planner, layer_forward_plan, layer_backward_plan, model_plan):
     """Frozen copy of the original composition: one added entry per layer and tensor."""
-    full = MemoryPlan(solver=f"bilevel({layer_forward_plan.solver})")
+    entries = {}
+
+    def add(entry):
+        if entry.tensor_id in entries:
+            raise ValueError(f"tensor {entry.tensor_id!r} already planned")
+        entries[entry.tensor_id] = entry
+
     pseudo_entry = model_plan.get(PSEUDO_LAYER_BLOCK)
     pseudo_address = pseudo_entry.address if pseudo_entry is not None else 0
     for entry in model_plan.entries.values():
         if entry.tensor_id == PSEUDO_LAYER_BLOCK:
             continue
-        full.add(entry)
+        add(entry)
     layer_entries = []
     for base_plan, pass_name in ((layer_forward_plan, "fwd"), (layer_backward_plan, "bwd")):
         for entry in base_plan.entries.values():
@@ -337,9 +346,9 @@ def _eager_compose(planner, layer_forward_plan, layer_backward_plan, model_plan)
                 layer_entries.append((suffix, pseudo_address + entry.address, entry.size))
     for layer in range(planner.model.num_layers):
         for suffix, address, size in layer_entries:
-            full.add(PlanEntry(tensor_id=f"L{layer}.{suffix}", address=address, size=size))
-    full.peak_bytes = max(full.peak_bytes, model_plan.peak_bytes)
-    return full
+            add(PlanEntry(tensor_id=f"L{layer}.{suffix}", address=address, size=size))
+    peak = max([entry.end for entry in entries.values()] + [model_plan.peak_bytes])
+    return MemoryPlan(entries, peak, f"bilevel({layer_forward_plan.solver})")
 
 
 def _outcome(call):
@@ -380,8 +389,10 @@ class TestTiledBiLevelPlan:
         assert tiled.entries._table is None
         assert list(tiled.entries.items()) == list(eager.entries.items())
         assert repr(tiled) == repr(eager) and tiled == eager
-        with pytest.raises(TypeError, match="read-only"):
-            tiled.add(PlanEntry("extra", 0, 1))
+        with pytest.raises(TypeError):
+            tiled.entries["extra"] = PlanEntry("extra", 0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiled.peak_bytes = 0
 
     @given(st.integers(min_value=1, max_value=4), st.data())
     @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.strategy import ParallelismConfig
-from repro.parallel.search import SearchStats, best_pipeline_schedule, find_best_strategy
+from repro.parallel.search import SearchStats, find_best_strategy
 from repro.sim.failures import FailureSpec, RecoveryModel, simulate_time_to_train
 from repro.sim.fastpath import (
     compile_schedule_program,
@@ -30,6 +30,8 @@ from repro.sim.schedules import (
 from repro.sim.stochastic import (
     JitterSpec, monte_carlo_timeline, perturb_stage_costs, replica_rng,
 )
+
+from schedule_sweep import sweep_schedules
 
 
 @st.composite
@@ -404,7 +406,7 @@ class TestLowerBoundProperties:
 
 class TestPruningNeverChangesArgmax:
     def test_exhaustive_small_lattice(self):
-        """best_pipeline_schedule with pruning == without, over an exhaustive
+        """The pruned schedule sweep == the unpruned one, over an exhaustive
         (p, m, f, b, weight-share, p2p) lattice -- same kind, same time."""
         lattice = [
             (p, m, forward, backward, share, p2p)
@@ -420,13 +422,13 @@ class TestPruningNeverChangesArgmax:
                 pipeline_parallel=p, micro_batches=max(m, p),
             )
             stats = SearchStats()
-            pruned = best_pipeline_schedule(
+            pruned = sweep_schedules(
                 parallel, forward, backward,
                 num_micro_batches=m, p2p_time_s=p2p,
                 backward_weight_fraction=share,
                 prune=True, stats=stats,
             )
-            unpruned = best_pipeline_schedule(
+            unpruned = sweep_schedules(
                 parallel, forward, backward,
                 num_micro_batches=m, p2p_time_s=p2p,
                 backward_weight_fraction=share,
@@ -448,11 +450,11 @@ class TestPruningNeverChangesArgmax:
     @settings(max_examples=80, deadline=None)
     def test_randomized_points(self, p, m, forward, backward, share):
         parallel = ParallelismConfig(pipeline_parallel=p, micro_batches=max(m, p))
-        pruned = best_pipeline_schedule(
+        pruned = sweep_schedules(
             parallel, forward, backward, num_micro_batches=m,
             backward_weight_fraction=share, prune=True,
         )
-        unpruned = best_pipeline_schedule(
+        unpruned = sweep_schedules(
             parallel, forward, backward, num_micro_batches=m,
             backward_weight_fraction=share, prune=False,
         )
@@ -598,13 +600,13 @@ class TestRiskObjectivePruningNeverChangesArgmax:
                 pipeline_parallel=p, micro_batches=max(m, p),
             )
             stats = SearchStats()
-            pruned = best_pipeline_schedule(
+            pruned = sweep_schedules(
                 parallel, forward, backward,
                 num_micro_batches=m, backward_weight_fraction=share,
                 prune=True, stats=stats,
                 objective="p99", jitter=self.JITTER, replicas=8, seed=5,
             )
-            unpruned = best_pipeline_schedule(
+            unpruned = sweep_schedules(
                 parallel, forward, backward,
                 num_micro_batches=m, backward_weight_fraction=share,
                 prune=False,
@@ -620,11 +622,11 @@ class TestRiskObjectivePruningNeverChangesArgmax:
         deterministic sweep -- same kind object, same timeline numbers."""
         for p, m in ((2, 4), (4, 8), (4, 12)):
             parallel = ParallelismConfig(pipeline_parallel=p, micro_batches=m)
-            deterministic = best_pipeline_schedule(
+            deterministic = sweep_schedules(
                 parallel, 1.0, 2.0, num_micro_batches=m,
                 backward_weight_fraction=0.4,
             )
-            risk = best_pipeline_schedule(
+            risk = sweep_schedules(
                 parallel, 1.0, 2.0, num_micro_batches=m,
                 backward_weight_fraction=0.4,
                 objective="mean", jitter=JitterSpec(), replicas=8, seed=0,

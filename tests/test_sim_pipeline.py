@@ -3,15 +3,11 @@
 import pytest
 
 from repro.config import tokens
-from repro.parallel.search import (
-    best_pipeline_schedule,
-    resolve_schedule,
-    simulate_pipeline_schedule,
-    simulated_bubble_fraction,
-)
+from repro.parallel.search import SearchStats, resolve_schedule
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.executor import LayerTask, simulate_iteration
 from repro.sim.engine import SimulationEngine
+from repro.sim.fastpath import evaluate_schedule
 from repro.sim.pipeline import (
     StageCosts,
     peak_activation_bytes,
@@ -28,6 +24,8 @@ from repro.sim.schedules import (
 )
 from repro.systems.base import Workload
 from repro.systems.megatron import MegatronSystem
+
+from schedule_sweep import sweep_schedules
 
 GB = 1e9
 
@@ -404,51 +402,60 @@ class TestSearchIntegration:
         assert schedule.num_chunks == 1
 
     def test_simulated_bubble_matches_analytic_for_uniform_stages(self):
-        parallel = self.make_parallel(pp=4, m=8)
-        bubble = simulated_bubble_fraction(
-            parallel, ScheduleKind.ONE_F_ONE_B, forward_s=1.0, backward_s=2.0,
-        )
+        bubble = evaluate_schedule(
+            build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8),
+            StageCosts(forward_s=1.0, backward_s=2.0),
+        ).bubble_fraction
         assert bubble == pytest.approx(3 / 11, abs=1e-9)
-        assert simulated_bubble_fraction(
-            ParallelismConfig(), ScheduleKind.ONE_F_ONE_B, 1.0, 2.0,
-        ) == 0.0
+        assert evaluate_schedule(
+            build_schedule(ScheduleKind.ONE_F_ONE_B, 1, 8),
+            StageCosts(forward_s=1.0, backward_s=2.0),
+        ).bubble_fraction == 0.0
 
-    def test_simulate_pipeline_schedule_charges_p2p_time(self):
-        parallel = self.make_parallel(pp=4, m=8)
-        free = simulate_pipeline_schedule(
-            parallel, ScheduleKind.ONE_F_ONE_B, 1.0, 2.0, p2p_time_s=0.0,
-        )
-        costly = simulate_pipeline_schedule(
-            parallel, ScheduleKind.ONE_F_ONE_B, 1.0, 2.0, p2p_time_s=0.5,
+    def test_evaluated_schedule_charges_p2p_time(self):
+        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
+        free = evaluate_schedule(schedule, StageCosts(forward_s=1.0, backward_s=2.0))
+        costly = evaluate_schedule(
+            schedule, StageCosts(forward_s=1.0, backward_s=2.0, p2p_bytes=1.0),
+            p2p_bandwidth_bytes_per_s=1.0 / 0.5,
         )
         assert costly.total_s > free.total_s
 
-    def test_best_pipeline_schedule_prefers_zero_bubble(self):
+    def test_schedule_sweep_prefers_zero_bubble(self):
         parallel = self.make_parallel(pp=4, m=8)
-        kind, timeline = best_pipeline_schedule(
+        kind, timeline = sweep_schedules(
             parallel, forward_s=1.0, backward_s=2.0, backward_weight_fraction=0.5,
         )
         # In the zero-bubble regime (W ~ B_input) the V placement wins: it
         # halves the pipeline fill on top of ZB-H1's deferred W ops.
         assert kind is ScheduleKind.ZB_V
-        one_f = simulate_pipeline_schedule(parallel, ScheduleKind.ONE_F_ONE_B, 1.0, 2.0)
+        one_f = evaluate_schedule(
+            build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8),
+            StageCosts(forward_s=1.0, backward_s=2.0),
+        )
         assert timeline.total_s < one_f.total_s
-        zb_h1 = simulate_pipeline_schedule(
-            parallel, ScheduleKind.ZB_H1, 1.0, 2.0, backward_weight_fraction=0.5,
+        zb_h1 = evaluate_schedule(
+            build_schedule(ScheduleKind.ZB_H1, 4, 8),
+            StageCosts(forward_s=1.0, backward_s=2.0, backward_weight_s=1.0),
         )
         assert timeline.total_s <= zb_h1.total_s
 
-    def test_best_pipeline_schedule_dedups_degenerate_candidates(self):
+    def test_schedule_sweep_dedups_degenerate_candidates(self):
         # m % p != 0, so interleaved resolves to plain 1F1B and must not be
         # simulated twice; the sweep still returns a winner.
         parallel = self.make_parallel(pp=4, m=6)
-        kind, timeline = best_pipeline_schedule(
+        stats = SearchStats()
+        kind, timeline = sweep_schedules(
             parallel, forward_s=1.0, backward_s=2.0, backward_weight_fraction=0.5,
+            stats=stats,
         )
         assert kind in (ScheduleKind.ONE_F_ONE_B, ScheduleKind.ZB_H1, ScheduleKind.ZB_V)
         assert timeline.total_s > 0
-        with pytest.raises(ValueError, match="candidates"):
-            best_pipeline_schedule(parallel, 1.0, 2.0, candidates=())
+        assert stats.schedules_simulated + stats.schedules_pruned == 3
+
+    def test_empty_schedule_request_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown schedule"):
+            MegatronSystem(pipeline_schedule="")
 
 
 class TestSystemsIntegration:

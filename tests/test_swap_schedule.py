@@ -17,12 +17,6 @@ class TestRoundingBuffers:
     def test_total_bytes(self):
         assert RoundingBuffers(buffer_bytes=100, num_buffers=2).total_bytes == 200
 
-    def test_reuse_dependency(self):
-        buffers = RoundingBuffers(buffer_bytes=100)
-        assert buffers.reuse_dependency(0) == -1
-        assert buffers.reuse_dependency(1) == -1
-        assert buffers.reuse_dependency(5) == 3
-
     def test_requires_two_buffers(self):
         with pytest.raises(ValueError):
             RoundingBuffers(buffer_bytes=10, num_buffers=1)

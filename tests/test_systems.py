@@ -193,6 +193,50 @@ class TestSystemComparison:
         assert deepspeed_max <= megatron_max < memo_max
 
 
+#: 7B at 8-32 GPUs, batch 16-1024 and 64K/256K: pipelined and unpipelined
+#: winners, both pruning levels active, and near-tied schedule candidates.
+_PRUNING_GRID = tuple(
+    Workload("7B", tokens(length_k), gpus, global_batch_samples=batch)
+    for gpus in (8, 16, 32)
+    for batch in (16, 128, 1024)
+    for length_k in (64, 256)
+)
+
+
+class TestPruningNeverChangesTheSelectedStrategy:
+    """The production sweeps, pruned at either level or both, select what
+    the unpruned search selects: same strategy, same time, same schedule."""
+
+    # DeepSpeed-Ulysses runs no pipeline, so it has no schedule to prune.
+    @pytest.mark.parametrize("system_class, pipelined", [
+        (MegatronSystem, True), (DeepSpeedSystem, False), (MemoSystem, True),
+    ])
+    def test_auto_schedule_grid(self, system_class, pipelined):
+        def run(schedule_sweep, strategy_search):
+            system = system_class(
+                pipeline_schedule="auto",
+                prune_schedule_sweep=schedule_sweep,
+                prune_strategy_search=strategy_search,
+            )
+            return [system.run(workload) for workload in _PRUNING_GRID]
+
+        unpruned = run(False, False)
+        assert all(report.schedules_pruned == 0 for report in unpruned)
+        assert all(report.strategies_pruned == 0 for report in unpruned)
+        for levels in ((True, False), (False, True), (True, True)):
+            reports = run(*levels)
+            for workload, plain, pruned in zip(_PRUNING_GRID, unpruned, reports):
+                where = (levels, workload)
+                assert pruned.parallel == plain.parallel, where
+                assert pruned.iteration_time_s == plain.iteration_time_s, where
+                assert pruned.schedule_kind is plain.schedule_kind, where
+            # Each level must actually prune on the grid, or the test is vacuous.
+            if levels[0] and pipelined:
+                assert sum(report.schedules_pruned for report in reports) > 0
+            if levels[1]:
+                assert sum(report.strategies_pruned for report in reports) > 0
+
+
 _VERDICT_SCHEDULES = (None, "1f1b", "interleaved", "zb-h1", "zb-v", "auto")
 #: 4-GPU, batch-8 workloads whose strategies fit, run out of GPU memory and
 #: (MEMO's offload strategies at 2M tokens) out of host memory.
