@@ -9,6 +9,7 @@ from repro.core.profiler import JobProfiler
 from repro.core.runtime import RuntimeExecutor
 from repro.hardware.cluster import make_a800_cluster
 from repro.parallel.strategy import ParallelismConfig
+from repro.systems.metrics import compute_mfu, compute_tgs
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,15 @@ class TestFramework:
     def test_alpha_override(self, framework):
         pinned = framework.prepare(alpha=0.25)
         assert pinned.schedule.alpha == pytest.approx(0.25)
+
+    def test_estimate_efficiency(self, framework, plan):
+        seconds = framework.execute(plan).iteration_time_s
+        gpus = framework.parallel.total_gpus
+        mfu = compute_mfu(
+            framework.model, framework.sequence_length, 1, gpus, framework.cluster.gpu, seconds,
+        )
+        assert 0.2 < mfu < 0.7
+        assert compute_tgs(framework.sequence_length, 1, gpus, seconds) > 0
 
     def test_for_workload_validates_divisibility(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from repro.config import (
 )
 from repro.hardware.cluster import ClusterSpec, NodeSpec, make_a800_cluster
 from repro.hardware.gpu import A800, H100_SXM, get_gpu_spec
-from repro.hardware.links import INFINIBAND_200G, NVLINK_A800, PCIE_GEN4_X16
+from repro.hardware.links import INFINIBAND_200G, NVLINK_A800, PCIE_GEN4_X16, LinkSpec
+from repro.sim.executor import LayerTask, simulate_iteration
 
 
 class TestConfig:
@@ -52,6 +53,25 @@ class TestLinks:
         assert PCIE_GEN4_X16.bandwidth_bytes_per_s == 32 * GiB
         assert NVLINK_A800.bandwidth_bytes_per_s == 400 * GiB
         assert INFINIBAND_200G.bandwidth_bytes_per_s == 200 * GiB
+
+    def test_transfer_time_includes_latency(self):
+        link = LinkSpec("test", bandwidth_bytes_per_s=1e9, latency_s=1e-3)
+
+        def offload_time(num_bytes):
+            tasks = [LayerTask(1.0, 1.0, offload_bytes=num_bytes, prefetch_bytes=num_bytes)]
+            return simulate_iteration(
+                tasks, link.bandwidth_bytes_per_s, d2h_latency_s=link.latency_s,
+            ).d2h_busy_s
+
+        assert offload_time(0) == 0.0
+        assert offload_time(1e9) == pytest.approx(1.001)
+        assert offload_time(2e9) == pytest.approx(2.001)
+
+    def test_transfer_time_validation(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            LinkSpec("test", bandwidth_bytes_per_s=0)
+        with pytest.raises(ValueError, match="latency"):
+            LinkSpec("test", bandwidth_bytes_per_s=1e9, latency_s=-1e-6)
 
 
 class TestNodeAndCluster:

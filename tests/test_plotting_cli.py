@@ -38,6 +38,12 @@ class TestAsciiPlot:
         with pytest.raises(ValueError):
             ascii_plot([Series("empty")])
 
+    def test_plot_named_series_subset(self):
+        curves = {"a": make_series("a"), "b": make_series("b", ((0, 9.0), (2, 9.0)))}
+        chart = ascii_plot([curves[name] for name in ["a"]])
+        assert chart.splitlines()[-1] == "* a"
+        assert "o" not in chart
+
 
 class TestSparkline:
     def test_length_and_monotone_blocks(self):

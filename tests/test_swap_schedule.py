@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import GiB
+from repro.sim.executor import LayerTask, simulate_iteration
 from repro.swap.buffers import RoundingBuffers
 from repro.swap.host_memory import HostMemoryBudget, HostOutOfMemoryError
 from repro.swap.schedule import build_swap_schedule
@@ -16,6 +17,23 @@ class TestRoundingBuffers:
 
     def test_total_bytes(self):
         assert RoundingBuffers(buffer_bytes=100, num_buffers=2).total_bytes == 200
+
+    def test_reuse_dependency(self):
+        # Layer i overwrites the buffer of layer i - num_buffers, so its
+        # forward pass waits for that layer's offload; the first
+        # num_buffers layers write into untouched buffers.
+        buffers = RoundingBuffers(buffer_bytes=100)
+        slots = [a.buffer_index for a in buffers.assignments(6)]
+        assert slots[:2] == [0, 1]
+        assert all(slots[i] == slots[i - 2] for i in range(2, 6))
+        tasks = [LayerTask(1.0, 1.0, offload_bytes=3e9, prefetch_bytes=3e9)] * 6
+        starts = simulate_iteration(
+            tasks, pcie_bandwidth_bytes_per_s=1e9, num_buffers=buffers.num_buffers,
+            d2h_latency_s=0.0,
+        ).layer_forward_starts
+        assert starts[:2] == [0.0, 1.0]
+        # Layer 2 waits for layer 0's offload (1 s compute + 3 s copy).
+        assert starts[2] == pytest.approx(4.0)
 
     def test_requires_two_buffers(self):
         with pytest.raises(ValueError):
