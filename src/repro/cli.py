@@ -34,6 +34,7 @@ from repro.parallel.search import resolve_schedule
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.fastpath import evaluate_schedule, wave_ratio_from_costs
 from repro.sim.pipeline import (
+    StageCosts,
     stage_costs_from_iteration,
     stage_peak_memory,
 )
@@ -405,7 +406,10 @@ def _validate_stage_costs(costs) -> Optional[str]:
     additionally refuses zero forward/backward durations (a zero-cost stage
     makes every bubble fraction and wave ratio meaningless) and turns the
     failure into a clear per-stage message instead of a traceback.
+    ``--uniform-stages`` hands in one ``StageCosts`` for every stage.
     """
+    if isinstance(costs, StageCosts):
+        costs = [costs]
     for index, stage in enumerate(costs):
         for name in ("forward_s", "backward_s"):
             value = getattr(stage, name)

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 from repro.config import GiB, tokens
 from repro.hardware.cluster import make_a800_cluster
 from repro.memory.caching_allocator import CachingAllocator, OutOfMemoryError
-from repro.memory.request import peak_live_bytes
 from repro.memory.snapshot import MemoryTimeline
 from repro.model.specs import get_model_config
 from repro.model.trace import full_model_trace
@@ -156,10 +155,3 @@ def crossover_sequence_length_k(curves: Dict[str, Series]) -> Optional[int]:
         if layer.y[index] >= offload.y[index]:
             return int(layer.x[index])
     return None
-
-
-def trace_live_peak_gib(model_name: str = "7B", per_gpu_tokens: int = 16 * 1024) -> float:
-    """Live-bytes lower bound of the Figure 1(a) trace (reported for context)."""
-    model = get_model_config(model_name)
-    trace = full_model_trace(model, 1, per_gpu_tokens, include_skeletal=True)
-    return peak_live_bytes(trace) / GiB

@@ -42,29 +42,23 @@ from repro.sim.fastpath import (
 from repro.sim.stochastic import (
     NULL_JITTER,
     RISK_OBJECTIVES,
-    ElasticOutcome,
     JitterSpec,
     MakespanDistribution,
     monte_carlo_timeline,
-    objective_score,
     parse_jitter_spec,
     perturb_stage_costs,
     replica_rng,
-    simulate_rank_failure,
 )
 
 __all__ = [
     "NULL_JITTER",
     "RISK_OBJECTIVES",
-    "ElasticOutcome",
     "JitterSpec",
     "MakespanDistribution",
     "monte_carlo_timeline",
-    "objective_score",
     "parse_jitter_spec",
     "perturb_stage_costs",
     "replica_rng",
-    "simulate_rank_failure",
     "FastPathMismatchError",
     "cached_build_schedule",
     "clear_fastpath_caches",

@@ -1,8 +1,8 @@
 """Failure-process simulation: correlated failure/preemption schedules,
 checkpoint-restart recovery costing, and time-to-train distributions.
 
-PR 7's stochastic layer models *smooth* noise -- jitter, stragglers, link
-wobble -- plus a single-instant rank kill.  Real fleets fail as a *process*:
+The stochastic layer (``sim/stochastic.py``) models *smooth* noise --
+jitter, stragglers, link wobble.  Real fleets fail as a *process*:
 per-rank MTBF draws, whole nodes dying together (a PSU, a NIC, a top-of-rack
 switch), spot instances preempted on a notice window.  A planner that ranks
 strategies for fleet-scale jobs must score *time-to-train under failures and
@@ -22,7 +22,8 @@ layers jitter -- as a pure, seeded post-processing of iteration times:
   :func:`simulate_time_to_train`): periodic checkpoint writes (cost derived
   from model bytes over a checkpoint bandwidth, or given directly), lost-work
   replay from the last durable checkpoint, restart overhead, elastic
-  ``p - 1`` continuation at degraded throughput, and proactive checkpoints
+  continuation on the surviving ranks at degraded throughput (rolling
+  failures keep shrinking the job), and proactive checkpoints
   inside a preemption's notice window.  The optimal checkpoint interval has
   the Young/Daly closed form (:func:`optimal_checkpoint_interval`), checked
   against simulation in ``tests/test_failures.py``;
@@ -33,13 +34,9 @@ layers jitter -- as a pure, seeded post-processing of iteration times:
   search minimises keeps iteration-seconds units and every analytic pruning
   floor stays a valid lower bound: a job can never finish faster than
   ``target_iterations`` failure-free iterations, hence the effective
-  iteration time is >= the deterministic iteration time >= the floor;
-* **rolling elastic failures** (:func:`simulate_rolling_failures`):
-  generalises :func:`repro.sim.stochastic.simulate_rank_failure` to a
-  sequence of failures, each banking the finished micro-batches and
-  re-planning the remainder on one fewer rank.
+  iteration time is >= the deterministic iteration time >= the floor.
 
-Invariants (property-tested like PR 7's):
+Invariants (property-tested like the stochastic layer's):
 
 * a **null failure spec is free**: :data:`NULL_FAILURES` never draws a
   variate, :func:`simulate_time_to_train` returns the ideal time bit for bit,
@@ -60,7 +57,6 @@ import bisect
 import copy
 import functools
 import heapq
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -78,15 +74,10 @@ from repro.jsonutil import (
     opt_hex_float,
 )
 
-from repro.sim.fastpath import critical_path_timeline
-from repro.sim.pipeline import StageCosts, _normalise_costs
-from repro.sim.schedules import PipelineSchedule
 from repro.sim.stochastic import (
-    ElasticOutcome,
     MIN_SEQUENTIAL_REPLICAS,
-    _mean_stage_costs,
-    distribution_ci_halfwidth,
-    simulate_rank_failure,
+    ReplicaBudget,
+    SampleStatistics,
 )
 
 #: Failure-adjusted risk objectives: the same five statistics as
@@ -468,10 +459,9 @@ class RecoveryModel:
             ``None`` picks the Young/Daly optimum for the failure process at
             hand (:func:`optimal_checkpoint_interval`).
         elastic: when True a rank failure does not wait for a replacement --
-            the job continues on the surviving ranks at proportionally
-            degraded throughput (the ``p/(p-1)`` model of
-            :func:`repro.sim.stochastic.simulate_rank_failure`) without
-            paying ``restart_overhead_s``, recovering to full strength only
+            the job continues on the surviving ranks, its work slowed by
+            ``num_ranks / surviving``, without paying
+            ``restart_overhead_s``, recovering to full strength only
             at the next inelastic restart (a preemption, or attrition
             through ``min_rank_fraction``); when False every failure
             restarts on the full cluster after ``restart_overhead_s``.
@@ -615,22 +605,16 @@ def parse_recovery_spec(text: str) -> RecoveryModel:
 
 
 # ------------------------------------------------------------ time to train
-def _nearest_rank(ordered: Sequence[float], q: float) -> float:
-    rank = max(int(math.ceil(q / 100.0 * len(ordered))), 1)
-    return ordered[rank - 1]
-
-
 @dataclass(frozen=True)
-class TimeToTrainDistribution:
+class TimeToTrainDistribution(SampleStatistics):
     """Monte-Carlo distribution of the wall-clock time to finish a job.
 
     ``samples`` are total wall-clock seconds to complete ``target_iterations``
     iterations under the failure process and recovery model; ``ideal_s`` is
     the failure-free time of the *fastest* per-replica iteration time
     (``target_iterations`` of it), a true floor for every sample even when a
-    jitter-composed per-replica sequence is walked.  Percentiles use the same
-    deterministic
-    nearest-rank definition as
+    jitter-composed per-replica sequence is walked.  The statistics come
+    from :class:`repro.sim.stochastic.SampleStatistics`, shared with
     :class:`repro.sim.stochastic.MakespanDistribution`.
     """
 
@@ -652,40 +636,6 @@ class TimeToTrainDistribution:
             raise ValueError("target_iterations must be >= 1")
 
     @property
-    def replicas(self) -> int:
-        return len(self.samples)
-
-    def percentile(self, q: float) -> float:
-        if not 0.0 < q <= 100.0:
-            raise ValueError(f"percentile must lie in (0, 100] (got {q})")
-        return _nearest_rank(sorted(self.samples), q)
-
-    @property
-    def mean_s(self) -> float:
-        # fsum: the null-failure collapse must be exact, like the zero-jitter
-        # collapse of MakespanDistribution.
-        return math.fsum(self.samples) / len(self.samples)
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        return self.percentile(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        return self.percentile(99.0)
-
-    @property
-    def cvar95_s(self) -> float:
-        ordered = sorted(self.samples)
-        cut = max(int(math.ceil(0.95 * len(ordered))), 1) - 1
-        tail = ordered[cut:]
-        return math.fsum(tail) / len(tail)
-
-    @property
     def mean_failures(self) -> float:
         return math.fsum(self.failure_counts) / len(self.failure_counts)
 
@@ -694,29 +644,12 @@ class TimeToTrainDistribution:
         """Mean time-to-train over the ideal (failure-free) time."""
         return self.mean_s / self.ideal_s if self.ideal_s > 0 else 1.0
 
-    def statistic(self, base: str) -> float:
-        """One named statistic of the wall-clock samples."""
-        if base == "mean":
-            return self.mean_s
-        if base == "p50":
-            return self.p50_s
-        if base == "p95":
-            return self.p95_s
-        if base == "p99":
-            return self.p99_s
-        if base == "cvar":
-            return self.cvar95_s
-        raise ValueError(f"unknown statistic {base!r}")
-
-    def effective_iteration_s(self, base: str) -> float:
-        """A statistic rescaled to per-iteration seconds -- the number a
-        failure-adjusted search minimises (units comparable to iteration
-        time, so the analytic pruning floors stay valid lower bounds)."""
-        return self.statistic(base) / self.target_iterations
-
     def score(self, objective: str) -> float:
-        """:meth:`effective_iteration_s` of a ``ttrain_*`` objective."""
-        return self.effective_iteration_s(ttrain_objective_base(objective))
+        """A ``ttrain_*`` objective's statistic rescaled to per-iteration
+        seconds -- the number a failure-adjusted search minimises (units
+        comparable to iteration time, so the analytic pruning floors stay
+        valid lower bounds)."""
+        return self.statistic(ttrain_objective_base(objective)) / self.target_iterations
 
     def to_json_dict(self) -> dict:
         """Plain-JSON mapping; samples in draw order as exact hex floats."""
@@ -744,15 +677,6 @@ class TimeToTrainDistribution:
             spec=FailureSpec.from_json_dict(data["spec"]),
             recovery=RecoveryModel.from_json_dict(data["recovery"]),
         )
-
-    def to_json(self) -> str:
-        """Stable (sorted-keys) JSON string of :meth:`to_json_dict`."""
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TimeToTrainDistribution":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_json_dict(json.loads(text))
 
 
 #: Entries of the arrival-stream memo.  A fleet round reads a handful of
@@ -978,7 +902,8 @@ def simulate_time_to_train(
     adding replicas once at least ``min_replicas`` are in and the
     ``objective`` estimator's 95% CI half-width
     (:func:`repro.sim.stochastic.distribution_ci_halfwidth`) is under the
-    bound; ``replicas`` remains the hard cap.  The bound is expressed in
+    bound (:meth:`repro.sim.stochastic.ReplicaBudget.stops`); ``replicas``
+    remains the hard cap.  The bound is expressed in
     *effective per-iteration* seconds -- the same units as
     :meth:`TimeToTrainDistribution.score` and as the makespan bound of
     :func:`repro.sim.stochastic.monte_carlo_timeline` -- so one knob serves
@@ -991,14 +916,10 @@ def simulate_time_to_train(
     no checkpoint cost charged (nothing to recover from), bit for bit.
     """
     require_count("target_iterations", target_iterations, 1)
-    require_count("replicas", replicas, 1)
     require_count("num_ranks", num_ranks, 1)
-    require_count("min_replicas", min_replicas, 2)
     if gpus_per_node is not None:
         require_count("gpus_per_node", gpus_per_node, 1)
-    if ci_halfwidth is not None and (math.isnan(ci_halfwidth) or ci_halfwidth < 0):
-        raise ValueError(f"ci_halfwidth must be non-negative (got {ci_halfwidth})")
-    distribution_ci_halfwidth((), objective)  # raises on an unknown objective
+    budget = ReplicaBudget(replicas, ci_halfwidth, objective, min_replicas)
     if isinstance(iteration_time_s, (int, float)):
         per_replica = [float(iteration_time_s)]
     else:
@@ -1014,22 +935,13 @@ def simulate_time_to_train(
     ideal_s = target_iterations * min(per_replica)
     interval = recovery.interval_for(spec, num_ranks)
 
-    def _stop_early(samples: Sequence[float]) -> bool:
-        return (
-            ci_halfwidth is not None
-            and len(samples) >= min_replicas
-            and len(samples) < replicas
-            and distribution_ci_halfwidth(samples, objective) / target_iterations
-            <= ci_halfwidth
-        )
-
     if spec.is_null:
         null_samples: List[float] = []
         for replica in range(replicas):
             null_samples.append(
                 target_iterations * per_replica[replica % len(per_replica)]
             )
-            if _stop_early(null_samples):
+            if budget.stops(null_samples, target_iterations):
                 break
         return TimeToTrainDistribution(
             samples=tuple(null_samples),
@@ -1196,7 +1108,7 @@ def simulate_time_to_train(
         clock, interruptions = walk(trace, record, target_work, cap)
         samples.append(min(clock, cap))
         counts.append(interruptions)
-        if _stop_early(samples):
+        if budget.stops(samples, target_iterations):
             break
     return TimeToTrainDistribution(
         samples=tuple(samples),
@@ -1209,128 +1121,3 @@ def simulate_time_to_train(
         recovery=recovery,
     )
 
-
-# ------------------------------------------------------- rolling elasticity
-@dataclass(frozen=True)
-class RollingOutcome:
-    """Result of a multi-failure elastic scenario.
-
-    Attributes:
-        stages: the per-failure :class:`~repro.sim.stochastic.ElasticOutcome`
-            decompositions, in failure order.
-        completed_micro_batches: micro-batches finished (banked) across all
-            phases, including the final surviving run.
-        final_num_stages: pipeline depth of the last executed phase.
-        total_s: end-to-end makespan across every failure, restart and
-            re-planned run.
-    """
-
-    stages: Tuple[ElasticOutcome, ...]
-    completed_micro_batches: int
-    final_num_stages: int
-    total_s: float
-
-
-def simulate_rolling_failures(
-    schedule: PipelineSchedule,
-    costs: Union[StageCosts, Sequence[StageCosts]],
-    failures: Sequence[Tuple[int, float]],
-    restart_overhead_s: float = 0.0,
-    p2p_bandwidth_bytes_per_s: float = float("inf"),
-    p2p_latency_s: float = 0.0,
-    pcie_bandwidth_bytes_per_s: float = 16e9,
-) -> RollingOutcome:
-    """Elastic continuation under a *sequence* of rank failures.
-
-    Generalises :func:`repro.sim.stochastic.simulate_rank_failure` to rolling
-    failures: each ``(rank, absolute_time)`` failure banks the micro-batches
-    the current (possibly already shrunk) pipeline finished, loses the
-    in-flight work, and re-plans the remainder on one fewer rank; when the
-    pipeline is already a single stage, a further failure only restarts it
-    (there is nothing left to shrink).  Failure times are absolute simulated
-    seconds and must be strictly increasing; ranks index the pipeline of the
-    phase the failure interrupts.
-    """
-    if not failures:
-        raise ValueError("failures must name at least one (rank, time) event")
-    times = [time_s for _, time_s in failures]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"failure times must be strictly increasing (got {times})")
-    per_stage = _normalise_costs(schedule, costs)
-    current_schedule = schedule
-    current_costs: Sequence[StageCosts] = per_stage
-    phase_start = 0.0
-    completed = 0
-    stages: List[ElasticOutcome] = []
-    clock = 0.0
-    original_stages = schedule.num_stages
-    for rank, time_s in failures:
-        relative = time_s - phase_start
-        if relative < 0:
-            raise ValueError(
-                f"failure at {time_s} predates the current phase start {phase_start}"
-            )
-        if current_schedule.num_stages >= 2:
-            outcome = simulate_rank_failure(
-                current_schedule, current_costs, rank, relative,
-                restart_overhead_s=restart_overhead_s,
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-                p2p_latency_s=p2p_latency_s,
-                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-            )
-            stages.append(outcome)
-            completed += outcome.completed_micro_batches
-            if outcome.replan_schedule is None:
-                # The phase finished before this failure: the job is done.
-                clock = phase_start + outcome.total_s
-                return RollingOutcome(
-                    stages=tuple(stages),
-                    completed_micro_batches=completed,
-                    final_num_stages=current_schedule.num_stages,
-                    total_s=clock,
-                )
-            shrunk = current_schedule.num_stages - 1
-            scale = original_stages / shrunk
-            current_costs = [
-                _mean_stage_costs(per_stage, scale)
-            ] * outcome.replan_schedule.num_virtual_stages
-            current_schedule = outcome.replan_schedule
-            phase_start = phase_start + relative + restart_overhead_s
-        else:
-            # Single-stage pipeline: a failure only restarts it from scratch.
-            if rank != 0:
-                raise ValueError(
-                    f"failed_rank must lie in [0, 1) for a single-stage phase "
-                    f"(got {rank})"
-                )
-            timeline = critical_path_timeline(
-                current_schedule, list(current_costs),
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-                p2p_latency_s=p2p_latency_s,
-                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-            )
-            if relative >= timeline.total_s:
-                clock = phase_start + timeline.total_s
-                completed += current_schedule.num_micro_batches
-                return RollingOutcome(
-                    stages=tuple(stages),
-                    completed_micro_batches=completed,
-                    final_num_stages=1,
-                    total_s=clock,
-                )
-            phase_start = phase_start + relative + restart_overhead_s
-    # Run the final phase to completion.
-    timeline = critical_path_timeline(
-        current_schedule, list(current_costs),
-        p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-        p2p_latency_s=p2p_latency_s,
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-    )
-    completed += current_schedule.num_micro_batches
-    clock = phase_start + timeline.total_s
-    return RollingOutcome(
-        stages=tuple(stages),
-        completed_micro_batches=completed,
-        final_num_stages=current_schedule.num_stages,
-        total_s=clock,
-    )

@@ -32,12 +32,13 @@ replication and a risk-adjusted score -- without touching either engine:
   coupled and monotone in each jitter scale, which the statistical test
   suite asserts per seed rather than merely in expectation.
 
-On top sit :func:`monte_carlo_timeline` (replicated evaluation returning a
-:class:`MakespanDistribution` with p50/p95/p99, CVaR and bubble variance),
-:func:`objective_score` (the ``"mean" | "p50" | "p95" | "p99" | "cvar"``
-risk objectives consumed by the strategy search) and
-:func:`simulate_rank_failure` (the elastic scenario hook: kill rank ``r`` at
-time ``t``, re-plan the unfinished micro-batches on ``p - 1`` ranks).
+On top sits :func:`monte_carlo_timeline` (replicated evaluation returning a
+:class:`MakespanDistribution` with p50/p95/p99, CVaR and bubble variance,
+scored by the ``"mean" | "p50" | "p95" | "p99" | "cvar"`` risk objectives
+the strategy search consumes).  The sample statistics, the replica budget
+and its sequential-stopping rule (:class:`SampleStatistics`,
+:class:`ReplicaBudget`) are shared with the time-to-train walk of
+:mod:`repro.sim.failures`.
 
 Monte-Carlo draws are evaluated through :func:`critical_path_timeline`
 directly, *never* through the memoized ``evaluate_schedule`` wrapper: each
@@ -58,6 +59,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.config import require_count
 from repro.jsonutil import (
     from_hex_float,
     from_hex_floats,
@@ -74,17 +76,8 @@ from repro.sim.fastpath import (
     critical_path_timeline_batch,
     pipeline_lower_bound,
 )
-from repro.sim.pipeline import (
-    PipelineTimeline,
-    StageCosts,
-    _normalise_costs,
-    simulate_pipeline,
-)
-from repro.sim.schedules import (
-    PipelineSchedule,
-    ScheduleKind,
-    build_schedule,
-)
+from repro.sim.pipeline import StageCosts, _normalise_costs, simulate_pipeline
+from repro.sim.schedules import PipelineSchedule
 
 #: Risk objectives the search may optimize.  ``"mean"`` reproduces the
 #: deterministic selection when jitter is disabled; the percentile objectives
@@ -386,15 +379,104 @@ def _apply_variates(
     return tuple(perturbed)
 
 
+def _risk_base(objective: str) -> str:
+    """The :data:`RISK_OBJECTIVES` statistic a risk objective names.
+
+    Accepts the ``ttrain_*`` names of :mod:`repro.sim.failures` too (the
+    statistic over time-to-train samples is the same shape).
+    """
+    base = objective[len("ttrain_"):] if objective.startswith("ttrain_") else objective
+    if base not in RISK_OBJECTIVES:
+        raise ValueError(
+            f"unknown risk objective {objective!r}; expected one of {RISK_OBJECTIVES}"
+        )
+    return base
+
+
+class SampleStatistics:
+    """Statistics of a Monte-Carlo distribution's ``samples``.
+
+    A field-less mixin of :class:`MakespanDistribution` and
+    :class:`repro.sim.failures.TimeToTrainDistribution`; the host dataclass
+    provides ``samples`` and the ``to_json_dict``/``from_json_dict`` pair.
+    Percentiles use the deterministic nearest-rank definition on the sorted
+    samples -- no interpolation, no floating-point scheme differences
+    between platforms.
+    """
+
+    __slots__ = ()
+
+    @property
+    def replicas(self) -> int:
+        return len(self.samples)
+
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile of the samples (0 < q <= 100)."""
+        if not 0.0 < q <= 100.0:
+            raise ValueError(f"percentile must lie in (0, 100] (got {q})")
+        ordered = sorted(self.samples)
+        rank = max(int(math.ceil(q / 100.0 * len(ordered))), 1)
+        return ordered[rank - 1]
+
+    @property
+    def mean_s(self) -> float:
+        # fsum: the zero-jitter and null-failure collapses must be exact --
+        # the mean of K identical draws is that draw, bit for bit, for
+        # power-of-two K.
+        return math.fsum(self.samples) / len(self.samples)
+
+    @property
+    def p50_s(self) -> float:
+        return self.percentile(50.0)
+
+    @property
+    def p95_s(self) -> float:
+        return self.percentile(95.0)
+
+    @property
+    def p99_s(self) -> float:
+        return self.percentile(99.0)
+
+    @property
+    def cvar95_s(self) -> float:
+        """Mean of the worst 5% of samples (tail mean at p95)."""
+        ordered = sorted(self.samples)
+        cut = max(int(math.ceil(0.95 * len(ordered))), 1) - 1
+        tail = ordered[cut:]
+        return math.fsum(tail) / len(tail)
+
+    def statistic(self, base: str) -> float:
+        """The samples' statistic named by one of :data:`RISK_OBJECTIVES`."""
+        if base == "mean":
+            return self.mean_s
+        if base == "p50":
+            return self.p50_s
+        if base == "p95":
+            return self.p95_s
+        if base == "p99":
+            return self.p99_s
+        if base == "cvar":
+            return self.cvar95_s
+        raise ValueError(
+            f"unknown risk objective {base!r}; expected one of {RISK_OBJECTIVES}"
+        )
+
+    def to_json(self) -> str:
+        """Stable (sorted-keys) JSON string of ``to_json_dict()``."""
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Inverse of :meth:`to_json`."""
+        return cls.from_json_dict(json.loads(text))
+
+
 @dataclass(frozen=True)
-class MakespanDistribution:
+class MakespanDistribution(SampleStatistics):
     """Monte-Carlo makespan distribution of one schedule under jitter.
 
     Samples are stored in draw order (replica ``r`` at index ``r``), so two
     distributions from the same seed compare bit-identically with ``==``.
-    Percentiles use the deterministic nearest-rank definition on the sorted
-    samples -- no interpolation, no floating-point scheme differences
-    between platforms.
     """
 
     samples: Tuple[float, ...]
@@ -414,50 +496,12 @@ class MakespanDistribution:
             raise ValueError("samples and bubble_samples must align")
 
     @property
-    def replicas(self) -> int:
-        return len(self.samples)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of the makespan samples (0 < q <= 100)."""
-        if not 0.0 < q <= 100.0:
-            raise ValueError(f"percentile must lie in (0, 100] (got {q})")
-        ordered = sorted(self.samples)
-        rank = max(int(math.ceil(q / 100.0 * len(ordered))), 1)
-        return ordered[rank - 1]
-
-    @property
-    def mean_s(self) -> float:
-        # fsum: the zero-jitter collapse must be exact -- the mean of K
-        # identical draws is that draw, bit for bit, for power-of-two K.
-        return math.fsum(self.samples) / len(self.samples)
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        return self.percentile(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        return self.percentile(99.0)
-
-    @property
     def min_s(self) -> float:
         return min(self.samples)
 
     @property
     def max_s(self) -> float:
         return max(self.samples)
-
-    @property
-    def cvar95_s(self) -> float:
-        """Expected makespan of the worst 5% of draws (tail mean at p95)."""
-        ordered = sorted(self.samples)
-        cut = max(int(math.ceil(0.95 * len(ordered))), 1) - 1
-        tail = ordered[cut:]
-        return math.fsum(tail) / len(tail)
 
     @property
     def bubble_mean(self) -> float:
@@ -470,8 +514,9 @@ class MakespanDistribution:
         return math.fsum((b - mean) ** 2 for b in self.bubble_samples) / len(self.bubble_samples)
 
     def score(self, objective: str) -> float:
-        """:func:`objective_score` of this distribution."""
-        return objective_score(self, objective)
+        """The scalar a risk-adjusted search minimises: the statistic named
+        by one of :data:`RISK_OBJECTIVES`."""
+        return self.statistic(objective)
 
     def ci_halfwidth_s(self, objective: str = "mean") -> float:
         """Achieved 95% CI half-width of one objective's estimator."""
@@ -504,23 +549,13 @@ class MakespanDistribution:
             target_ci_halfwidth=opt_from_hex_float(data["target_ci_halfwidth"]),
         )
 
-    def to_json(self) -> str:
-        """Stable (sorted-keys) JSON string of :meth:`to_json_dict`."""
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MakespanDistribution":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_json_dict(json.loads(text))
-
 
 def distribution_ci_halfwidth(samples: Sequence[float], objective: str = "mean") -> float:
     """Deterministic 95% CI half-width estimate of one risk objective.
 
-    The sequential-stopping criterion of :func:`monte_carlo_timeline` (and of
-    the time-to-train walk in :mod:`repro.sim.failures`): replication stops
-    once this drops under the requested bound.  Estimators, all closed-form
-    and platform-deterministic (no SciPy):
+    The sequential-stopping criterion of :class:`ReplicaBudget`: replication
+    stops once this drops under the requested bound.  Estimators, all
+    closed-form and platform-deterministic (no SciPy):
 
     * ``mean`` -- the CLT interval ``z * s / sqrt(n)`` with the unbiased
       sample standard deviation;
@@ -531,17 +566,11 @@ def distribution_ci_halfwidth(samples: Sequence[float], objective: str = "mean")
       bounds the quantile estimate's uncertainty;
     * ``cvar`` -- the CLT interval of the tail mean over the worst-5% draws.
 
-    Accepts the ``ttrain_*`` objective names too (the statistic over
-    time-to-train samples is the same shape).  Returns ``inf`` when the
+    Accepts the ``ttrain_*`` objective names too.  Returns ``inf`` when the
     sample count cannot support the estimate (fewer than two samples, or an
     empty variance tail), so a sequential run keeps drawing.
     """
-    if objective.startswith("ttrain_"):
-        objective = objective[len("ttrain_"):]
-    if objective not in RISK_OBJECTIVES:
-        raise ValueError(
-            f"unknown risk objective {objective!r}; expected one of {RISK_OBJECTIVES}"
-        )
+    objective = _risk_base(objective)
     n = len(samples)
     if n < 2:
         return math.inf
@@ -566,21 +595,47 @@ def distribution_ci_halfwidth(samples: Sequence[float], objective: str = "mean")
     return (ordered[hi] - ordered[lo]) / 2.0
 
 
-def objective_score(distribution: MakespanDistribution, objective: str) -> float:
-    """The scalar a risk-adjusted search minimises for one candidate."""
-    if objective == "mean":
-        return distribution.mean_s
-    if objective == "p50":
-        return distribution.p50_s
-    if objective == "p95":
-        return distribution.p95_s
-    if objective == "p99":
-        return distribution.p99_s
-    if objective == "cvar":
-        return distribution.cvar95_s
-    raise ValueError(
-        f"unknown risk objective {objective!r}; expected one of {RISK_OBJECTIVES}"
-    )
+@dataclass(frozen=True)
+class ReplicaBudget:
+    """A validated Monte-Carlo replica budget and its sequential-stopping rule.
+
+    The budget of :func:`monte_carlo_timeline` and of
+    :func:`repro.sim.failures.simulate_time_to_train`.  Construction raises
+    ``ValueError`` unless both counts are ints in range, ``ci_halfwidth`` is
+    ``None`` or non-negative, and ``objective`` is a risk objective (a
+    ``ttrain_*`` name included) -- whether or not a bound is set.
+    """
+
+    replicas: int
+    ci_halfwidth: Optional[float]
+    objective: str
+    min_replicas: int
+
+    def __post_init__(self) -> None:
+        require_count("replicas", self.replicas, 1)
+        require_count("min_replicas", self.min_replicas, 2)
+        if self.ci_halfwidth is not None and (
+            math.isnan(self.ci_halfwidth) or self.ci_halfwidth < 0
+        ):
+            raise ValueError(f"ci_halfwidth must be non-negative (got {self.ci_halfwidth})")
+        _risk_base(self.objective)
+
+    def stops(self, samples: Sequence[float], divisor: float) -> bool:
+        """Whether replication stops after ``samples``, short of the cap.
+
+        True once at least ``min_replicas`` samples are in and the
+        objective estimator's CI half-width, divided by ``divisor`` into
+        the bound's units, is under ``ci_halfwidth``.  A makespan run
+        passes ``1`` (``x / 1`` is exact), the time-to-train walk its target
+        iteration count.
+        """
+        return (
+            self.ci_halfwidth is not None
+            and len(samples) >= self.min_replicas
+            and len(samples) < self.replicas
+            and distribution_ci_halfwidth(samples, self.objective) / divisor
+            <= self.ci_halfwidth
+        )
 
 
 def monte_carlo_timeline(
@@ -615,7 +670,9 @@ def monte_carlo_timeline(
     Variance-aware budgeting: with ``ci_halfwidth`` set, replication stops
     as soon as at least ``min_replicas`` draws are in *and* the objective
     estimator's 95% CI half-width (:func:`distribution_ci_halfwidth`) is
-    under the bound; ``replicas`` remains the hard cap.  Because replica
+    under the bound (:meth:`ReplicaBudget.stops`); ``replicas`` remains the
+    hard cap.  Every budget argument is checked up front, even with
+    ``ci_halfwidth=None``.  Because replica
     ``r``'s draws never depend on the replication count, an adaptive run's
     samples are exactly a prefix of the fixed-cap run's -- stopping early
     changes how many draws are averaged, never which draws.  With
@@ -639,12 +696,7 @@ def monte_carlo_timeline(
     the final chunk.  ``validate=True`` always takes the scalar loop: the
     oracle cross-check is inherently per draw.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if min_replicas < 2:
-        raise ValueError("min_replicas must be >= 2")
-    if ci_halfwidth is not None and (math.isnan(ci_halfwidth) or ci_halfwidth < 0):
-        raise ValueError(f"ci_halfwidth must be non-negative (got {ci_halfwidth})")
+    budget = ReplicaBudget(replicas, ci_halfwidth, objective, min_replicas)
     per_stage = _normalise_costs(schedule, costs)
     vs_rank = schedule.virtual_stage_ranks
     num_ranks = max(vs_rank) + 1
@@ -671,14 +723,6 @@ def monte_carlo_timeline(
     samples: List[float] = []
     bubbles: List[float] = []
 
-    def _should_stop() -> bool:
-        return (
-            ci_halfwidth is not None
-            and len(samples) >= min_replicas
-            and len(samples) < replicas
-            and distribution_ci_halfwidth(samples, objective) <= ci_halfwidth
-        )
-
     if use_batch:
         program = compile_schedule_program(schedule)
         next_replica = 0
@@ -700,7 +744,7 @@ def monte_carlo_timeline(
             for offset in range(chunk):
                 samples.append(float(result.total_s[offset]))
                 bubbles.append(float(result.bubble_fraction[offset]))
-                if _should_stop():
+                if budget.stops(samples, 1):
                     stopped = True
                     break
             next_replica += chunk
@@ -723,7 +767,7 @@ def monte_carlo_timeline(
                 _check_against_oracle(timeline, oracle)
             samples.append(timeline.total_s)
             bubbles.append(timeline.bubble_fraction)
-            if _should_stop():
+            if budget.stops(samples, 1):
                 break
     return MakespanDistribution(
         samples=tuple(samples),
@@ -733,171 +777,4 @@ def monte_carlo_timeline(
         seed=seed,
         spec=spec,
         target_ci_halfwidth=ci_halfwidth,
-    )
-
-
-# --------------------------------------------------------------------- elastic
-@dataclass(frozen=True)
-class ElasticOutcome:
-    """Result of the rank-failure scenario: fail, shrink, re-plan, finish.
-
-    Attributes:
-        failed_rank: the rank killed at ``failure_time_s``.
-        failure_time_s: simulated time of the failure.
-        restart_overhead_s: fixed re-shard/checkpoint-restore cost charged
-            between the failure and the re-planned run.
-        completed_micro_batches: micro-batches whose *every* op had finished
-            before the failure -- their gradient contributions survive.
-        replanned_micro_batches: micro-batches re-run on the shrunk pipeline
-            (in-flight work at the failure instant is lost).
-        replan_schedule: the schedule executed on ``p - 1`` ranks (the
-            original kind, degraded where the shrunk shape cannot satisfy
-            its structural constraints).
-        replan_timeline: the shrunk pipeline's timeline.
-        total_s: end-to-end makespan ``failure + restart + re-planned run``
-            (equals the deterministic makespan when the failure happens
-            after the iteration already finished).
-        replan_kind: schedule kind actually executed on the shrunk pipeline
-            (``None`` when nothing was re-planned).  Differs from the
-            original kind when the shrunk shape cannot satisfy the kind's
-            structural constraints -- e.g. interleaved falls back to 1F1B
-            when the remaining micro-batches no longer divide ``p - 1``.
-        degraded: True when the re-plan had to change the schedule kind or
-            chunk count (the explicit flag for what was previously only
-            observable by comparing ``replan_schedule.kind`` by hand).
-    """
-
-    failed_rank: int
-    failure_time_s: float
-    restart_overhead_s: float
-    completed_micro_batches: int
-    replanned_micro_batches: int
-    replan_schedule: Optional[PipelineSchedule]
-    replan_timeline: Optional[PipelineTimeline]
-    total_s: float
-    replan_kind: Optional[ScheduleKind] = None
-    degraded: bool = False
-
-
-def _mean_stage_costs(per_stage: Sequence[StageCosts], time_scale: float) -> StageCosts:
-    """Average per-stage costs with compute times scaled by ``time_scale``.
-
-    The re-planned pipeline redistributes the failed rank's layers evenly, so
-    each surviving stage carries ``p / (p - 1)`` of the average compute;
-    boundary payloads (P2P activations) are per-micro-batch tensors whose
-    size does not depend on the layer count, so bytes stay at the average.
-    """
-    n = len(per_stage)
-    weight = sum(
-        stage.split_backward_weight_s for stage in per_stage
-        if stage.backward_weight_s is not None
-    )
-    has_split = any(stage.backward_weight_s is not None for stage in per_stage)
-    backward = sum(stage.backward_s for stage in per_stage) / n
-    return StageCosts(
-        forward_s=sum(stage.forward_s for stage in per_stage) / n * time_scale,
-        backward_s=backward * time_scale,
-        p2p_bytes=sum(stage.p2p_bytes for stage in per_stage) / n,
-        offload_bytes=sum(stage.offload_bytes for stage in per_stage) / n,
-        prefetch_bytes=sum(stage.prefetch_bytes for stage in per_stage) / n,
-        recompute_s=sum(stage.recompute_s for stage in per_stage) / n * time_scale,
-        activation_bytes=sum(stage.activation_bytes for stage in per_stage) / n,
-        backward_weight_s=(weight / n * time_scale if has_split else None),
-        weight_grad_bytes=sum(stage.weight_grad_bytes for stage in per_stage) / n,
-    )
-
-
-def simulate_rank_failure(
-    schedule: PipelineSchedule,
-    costs: Union[StageCosts, Sequence[StageCosts]],
-    failed_rank: int,
-    failure_time_s: float,
-    restart_overhead_s: float = 0.0,
-    p2p_bandwidth_bytes_per_s: float = float("inf"),
-    p2p_latency_s: float = 0.0,
-    pcie_bandwidth_bytes_per_s: float = 16e9,
-) -> ElasticOutcome:
-    """Elastic scenario hook: kill rank ``r`` at time ``t``, re-plan on ``p - 1``.
-
-    First-order failure model, deliberately simple (it opens the workload
-    class; refinements belong to follow-up work):
-
-    * the iteration runs deterministically until ``failure_time_s``; a
-      micro-batch counts as completed only when *all* of its ops (every
-      virtual stage, grad-weight included) finished strictly by then --
-      its gradient contribution survives the failure;
-    * in-flight work is lost; the remaining micro-batches re-run from
-      scratch on a re-planned ``p - 1``-stage pipeline of the same schedule
-      kind (degraded where the shrunk shape cannot satisfy the kind's
-      structural constraints, exactly like the candidate sweeps degrade),
-      with each surviving stage charged ``p / (p - 1)`` of the average
-      per-stage compute (the failed rank's layers are redistributed);
-    * a fixed ``restart_overhead_s`` models the re-shard / restore gap.
-    """
-    p = schedule.num_stages
-    if p < 2:
-        raise ValueError("rank failure needs a pipeline of >= 2 stages to shrink")
-    if not 0 <= failed_rank < p:
-        raise ValueError(f"failed_rank must lie in [0, {p}) (got {failed_rank})")
-    if failure_time_s < 0 or not math.isfinite(failure_time_s):
-        raise ValueError("failure_time_s must be finite and non-negative")
-    if restart_overhead_s < 0 or not math.isfinite(restart_overhead_s):
-        raise ValueError("restart_overhead_s must be finite and non-negative")
-    per_stage = _normalise_costs(schedule, costs)
-    timeline = critical_path_timeline(
-        schedule, per_stage,
-        p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-        p2p_latency_s=p2p_latency_s,
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-        record_ops=True,
-    )
-    if failure_time_s >= timeline.total_s:
-        # The iteration finished before the failure: nothing to re-plan.
-        return ElasticOutcome(
-            failed_rank=failed_rank,
-            failure_time_s=failure_time_s,
-            restart_overhead_s=restart_overhead_s,
-            completed_micro_batches=schedule.num_micro_batches,
-            replanned_micro_batches=0,
-            replan_schedule=None,
-            replan_timeline=None,
-            total_s=timeline.total_s,
-        )
-
-    finish_by_mb: dict = {}
-    for record in timeline.records:
-        mb = record.op.micro_batch
-        if record.end_s > finish_by_mb.get(mb, 0.0):
-            finish_by_mb[mb] = record.end_s
-    completed = sum(1 for end in finish_by_mb.values() if end <= failure_time_s)
-    remaining = schedule.num_micro_batches - completed
-
-    shrunk = p - 1
-    kind = schedule.kind
-    chunks = schedule.num_chunks
-    if kind is ScheduleKind.INTERLEAVED and (
-        shrunk > 1 and remaining % shrunk != 0 or chunks < 2
-    ):
-        kind, chunks = ScheduleKind.ONE_F_ONE_B, 1
-    degraded = kind is not schedule.kind or chunks != schedule.num_chunks
-    replan_schedule = build_schedule(kind, shrunk, max(remaining, 1), num_chunks=chunks)
-    replan_costs = [_mean_stage_costs(per_stage, p / shrunk)] * replan_schedule.num_virtual_stages
-    replan_timeline = critical_path_timeline(
-        replan_schedule, replan_costs,
-        p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-        p2p_latency_s=p2p_latency_s,
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-    )
-    replan_total = replan_timeline.total_s if remaining > 0 else 0.0
-    return ElasticOutcome(
-        failed_rank=failed_rank,
-        failure_time_s=failure_time_s,
-        restart_overhead_s=restart_overhead_s,
-        completed_micro_batches=completed,
-        replanned_micro_batches=remaining,
-        replan_schedule=replan_schedule if remaining > 0 else None,
-        replan_timeline=replan_timeline if remaining > 0 else None,
-        total_s=failure_time_s + restart_overhead_s + replan_total,
-        replan_kind=kind if remaining > 0 else None,
-        degraded=degraded if remaining > 0 else False,
     )

@@ -57,7 +57,6 @@ from repro.sim.failures import (
     optimal_checkpoint_interval,
     parse_failure_spec,
     parse_recovery_spec,
-    simulate_rolling_failures,
     simulate_time_to_train,
     ttrain_objective_base,
 )
@@ -66,8 +65,6 @@ from repro.sim.fastpath import (
     fastpath_cache_info,
     snapshot_fastpath_caches,
 )
-from repro.sim.pipeline import StageCosts
-from repro.sim.schedules import ScheduleKind, build_schedule
 from repro.sim.stochastic import (
     MIN_SEQUENTIAL_REPLICAS,
     JitterSpec,
@@ -79,7 +76,6 @@ from repro.systems.memo import MemoSystem
 
 from schedule_sweep import sweep_schedules
 
-COSTS = StageCosts(forward_s=1.0, backward_s=2.0, p2p_bytes=1e6, backward_weight_s=0.8)
 SPEC = FailureSpec(mtbf_s=5000.0, correlated_prob=0.3, preempt_every_s=20000.0,
                    preempt_notice_s=60.0)
 RECOVERY = RecoveryModel(checkpoint_write_s=20.0, restart_overhead_s=100.0)
@@ -632,39 +628,6 @@ class TestTtrainArgmaxInvariance:
             MegatronSystem(risk_objective="ttrain_p42", failures=self.FAILURES)
         with pytest.raises(ValueError):
             ttrain_objective_base("p99")
-
-
-class TestRollingFailures:
-    def test_two_failures_shrink_twice(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        outcome = simulate_rolling_failures(
-            schedule, COSTS, [(1, 10.0), (0, 40.0)], restart_overhead_s=2.0,
-        )
-        assert len(outcome.stages) == 2
-        assert outcome.final_num_stages == 2
-        # Conservation: banked micro-batches plus the final re-planned run
-        # cover the original batch exactly once.
-        assert outcome.completed_micro_batches == 8
-        banked = sum(stage.completed_micro_batches for stage in outcome.stages)
-        assert outcome.stages[-1].replanned_micro_batches == 8 - banked
-        assert outcome.total_s > 40.0
-
-    def test_failure_after_completion_ends_the_job(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 4)
-        outcome = simulate_rolling_failures(
-            schedule, COSTS, [(0, 1e6)], restart_overhead_s=2.0,
-        )
-        assert len(outcome.stages) == 1
-        assert outcome.stages[0].replan_schedule is None
-        assert outcome.completed_micro_batches == 4
-        assert outcome.final_num_stages == 4
-
-    def test_rejects_non_increasing_times(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        with pytest.raises(ValueError):
-            simulate_rolling_failures(schedule, COSTS, [(0, 10.0), (1, 10.0)])
-        with pytest.raises(ValueError):
-            simulate_rolling_failures(schedule, COSTS, [])
 
 
 class TestSystemNullFailureIdentity:

@@ -113,6 +113,14 @@ class TestCli:
         output = capsys.readouterr().out
         assert "zb-h1" in output
 
+    def test_sim_pipeline_uniform_stages(self, capsys):
+        assert main(["sim-pipeline", "--model", "7B", "--gpus", "8", "--seqlen-k", "64",
+                     "--pp", "2", "--tp", "4", "--micro-batches", "8",
+                     "--schedule", "all", "--uniform-stages"]) == 0
+        output = capsys.readouterr().out
+        for name in ("gpipe", "1f1b", "interleaved", "zb-h1", "zb-v"):
+            assert name in output
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -31,6 +31,7 @@ import pytest
 
 from repro.config import tokens
 from repro.parallel.strategy import DegenerateScheduleWarning, ParallelismConfig
+from repro.sim.failures import FailureSpec, simulate_time_to_train
 from repro.sim.fastpath import (
     clear_fastpath_caches,
     critical_path_timeline,
@@ -50,11 +51,9 @@ from repro.sim.stochastic import (
     _replica_variates,
     distribution_ci_halfwidth,
     monte_carlo_timeline,
-    objective_score,
     parse_jitter_spec,
     perturb_stage_costs,
     replica_rng,
-    simulate_rank_failure,
 )
 from repro.systems.base import Workload
 from repro.systems.memo import MemoSystem
@@ -360,13 +359,13 @@ class TestPercentileSanity:
             bubble_samples=(0.0,) * 100,
             deterministic_total_s=1.0, lower_bound_s=0.5, seed=0, spec=SPEC,
         )
-        assert objective_score(dist, "mean") == dist.mean_s == 50.5
-        assert objective_score(dist, "p50") == 50.0
-        assert objective_score(dist, "p95") == 95.0
-        assert objective_score(dist, "p99") == 99.0
-        assert objective_score(dist, "cvar") == pytest.approx(97.5)  # mean of 95..100
+        assert dist.score("mean") == dist.mean_s == 50.5
+        assert dist.score("p50") == 50.0
+        assert dist.score("p95") == 95.0
+        assert dist.score("p99") == 99.0
+        assert dist.score("cvar") == pytest.approx(97.5)  # mean of 95..100
         with pytest.raises(ValueError):
-            objective_score(dist, "p42")
+            dist.score("p42")
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
@@ -439,61 +438,6 @@ class TestValidatedDraws:
             validate=True,
         )
         assert dist.replicas == 4
-
-
-class TestRankFailure:
-    def test_micro_batch_conservation(self):
-        schedule = _zb_v()
-        timeline = critical_path_timeline(schedule, [COSTS] * schedule.num_virtual_stages)
-        outcome = simulate_rank_failure(
-            schedule, COSTS, failed_rank=1,
-            failure_time_s=timeline.total_s * 0.5, restart_overhead_s=2.0,
-        )
-        assert outcome.completed_micro_batches + outcome.replanned_micro_batches == 8
-        assert outcome.replan_schedule.num_stages == 3
-        assert outcome.replan_timeline is not None
-        assert outcome.total_s == pytest.approx(
-            outcome.failure_time_s + 2.0 + outcome.replan_timeline.total_s,
-        )
-
-    def test_failure_after_completion_is_free(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        timeline = critical_path_timeline(schedule, [COSTS] * schedule.num_virtual_stages)
-        outcome = simulate_rank_failure(
-            schedule, COSTS, failed_rank=0, failure_time_s=timeline.total_s + 1.0,
-        )
-        assert outcome.completed_micro_batches == 8
-        assert outcome.replanned_micro_batches == 0
-        assert outcome.replan_schedule is None
-        assert outcome.total_s == timeline.total_s
-
-    def test_immediate_failure_replans_everything(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=2, failure_time_s=0.0)
-        assert outcome.completed_micro_batches == 0
-        assert outcome.replanned_micro_batches == 8
-        # Redistributed layers: each surviving stage carries p/(p-1) compute.
-        replan_costs = outcome.replan_timeline.schedule and None  # structure only
-        assert outcome.replan_schedule.num_stages == 3
-
-    def test_interleaved_falls_back_when_shrunk_shape_illegal(self):
-        # 8 micro-batches on p-1 = 3 ranks violates m % p == 0: degrade to 1F1B.
-        schedule = build_schedule(ScheduleKind.INTERLEAVED, 4, 8, num_chunks=2)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=0, failure_time_s=0.0)
-        assert outcome.replan_schedule.kind is ScheduleKind.ONE_F_ONE_B
-
-    def test_rejects_bad_inputs(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        single = build_schedule(ScheduleKind.ONE_F_ONE_B, 1, 8)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(single, COSTS, failed_rank=0, failure_time_s=1.0)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=4, failure_time_s=1.0)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=0, failure_time_s=-1.0)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=0, failure_time_s=1.0,
-                                  restart_overhead_s=-0.5)
 
 
 class TestWarningDedupUnderReplication:
@@ -663,36 +607,35 @@ class TestMonteCarloSequentialStopping:
                                  ci_halfwidth=1.0, min_replicas=1)
 
 
-class TestElasticOutcomeMetadata:
-    def test_interleaved_shrink_is_flagged_degraded(self):
-        schedule = build_schedule(ScheduleKind.INTERLEAVED, 4, 8, num_chunks=2)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=0,
-                                        failure_time_s=0.0)
-        assert outcome.replan_kind is ScheduleKind.ONE_F_ONE_B
-        assert outcome.degraded is True
+def _jitter_run(**kwargs):
+    return monte_carlo_timeline(_zb_v(), COSTS, SPEC, **kwargs)
 
-    def test_same_kind_shrink_is_not_degraded(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=1,
-                                        failure_time_s=0.0)
-        assert outcome.replan_kind is ScheduleKind.ONE_F_ONE_B
-        assert outcome.degraded is False
 
-    def test_completed_run_reports_no_replan_kind(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        timeline = critical_path_timeline(schedule, [COSTS] * 4)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=0,
-                                        failure_time_s=timeline.total_s + 1.0)
-        assert outcome.replan_kind is None
-        assert outcome.degraded is False
+def _failure_walk(**kwargs):
+    return simulate_time_to_train(1.0, 10, FailureSpec(mtbf_s=5000.0), num_ranks=4,
+                                  **kwargs)
 
-    @pytest.mark.parametrize("restart", [float("inf"), float("nan")])
-    def test_non_finite_restart_rejected(self, restart):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=0,
-                                  failure_time_s=1.0,
-                                  restart_overhead_s=restart)
+
+class TestReplicaBudgetArguments:
+    """Both Monte-Carlo entry points check their replica budget up front,
+    whether or not a CI half-width bound is set."""
+
+    @pytest.mark.parametrize("run", [_jitter_run, _failure_walk],
+                             ids=["monte_carlo_timeline", "simulate_time_to_train"])
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(replicas=True), "replicas"),
+        (dict(replicas=2.5), "replicas"),
+        (dict(replicas=0), "replicas"),
+        (dict(min_replicas=2.5), "min_replicas"),
+        (dict(min_replicas=1), "min_replicas"),
+        (dict(ci_halfwidth=-1.0), "ci_halfwidth"),
+        (dict(ci_halfwidth=float("nan")), "ci_halfwidth"),
+        (dict(objective="p42"), "objective"),
+        (dict(objective="ttrain_p42", ci_halfwidth=0.1), "objective"),
+    ])
+    def test_rejects_bad_budgets(self, run, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            run(**kwargs)
 
 
 class TestSelectionStability:
