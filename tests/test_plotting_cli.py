@@ -1,5 +1,7 @@
 """Tests for the ASCII plotting helpers and the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -124,3 +126,46 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--seed", "-1"],
+        ["estimate", "--ci-halfwidth", "nan"],
+        ["sim-pipeline", "--jitter", "0.05", "--seed", "-1"],
+        ["sim-pipeline", "--jitter", "0.05", "--ci-halfwidth", "nan"],
+        ["sim-pipeline", "--replicas", "0"],
+    ], ids=" ".join)
+    def test_bad_search_flag_is_a_one_line_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "Traceback" not in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestCliGolden:
+    """Stochastic CLI runs, byte for byte against their committed stdout."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("estimate_stochastic.txt", [
+            "estimate", "--model", "7B", "--gpus", "8", "--seqlen-k", "16",
+            "--jitter", "0.05", "--mtbf", "43200", "--recovery", "write=30,restart=120",
+            "--objective", "ttrain_p99", "--replicas", "4", "--seed", "3",
+            "--ci-halfwidth", "0.5", "--stability-replicas", "2",
+            "--target-iterations", "50", "--pareto",
+        ]),
+        # The failure-process smoke line of the CI docs job.
+        ("sim_pipeline_failure_smoke.txt", [
+            "sim-pipeline", "--model", "7B", "--gpus", "8", "--seqlen-k", "64",
+            "--pp", "4", "--tp", "2", "--micro-batches", "8", "--schedule", "all",
+            "--jitter", "0.05", "--replicas", "12", "--seed", "7",
+            "--failures", "mtbf=43200,correlated=0.2:8,preempt=21600:120",
+            "--recovery", "write=30,restart=120", "--objective", "ttrain_p99",
+            "--ci-halfwidth", "0.5",
+        ]),
+    ])
+    def test_stdout_matches_golden(self, name, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / name).read_text()
