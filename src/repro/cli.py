@@ -30,7 +30,7 @@ from repro.config import GiB, tokens
 from repro.core.framework import MemoFramework
 from repro.parallel.comm_model import pipeline_p2p_bytes_per_micro_batch
 from repro.parallel.memory_model import estimate_memory
-from repro.parallel.search import resolve_schedule
+from repro.parallel.search import PIPELINE_ENGINES, SearchConfig, resolve_schedule
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.fastpath import evaluate_schedule, wave_ratio_from_costs
 from repro.sim.pipeline import (
@@ -38,22 +38,9 @@ from repro.sim.pipeline import (
     stage_costs_from_iteration,
     stage_peak_memory,
 )
-from repro.sim.failures import (
-    DEFAULT_RECOVERY,
-    DEFAULT_TARGET_ITERATIONS,
-    FailureSpec,
-    TTRAIN_OBJECTIVES,
-    parse_failure_spec,
-    parse_recovery_spec,
-    simulate_time_to_train,
-    ttrain_objective_base,
-)
+from repro.sim.failures import FailureSpec, TTRAIN_OBJECTIVES, simulate_time_to_train
 from repro.sim.schedules import ScheduleKind
-from repro.sim.stochastic import (
-    RISK_OBJECTIVES,
-    monte_carlo_timeline,
-    parse_jitter_spec,
-)
+from repro.sim.stochastic import RISK_OBJECTIVES, monte_carlo_timeline
 from repro.experiments.figure1 import crossover_sequence_length_k, run_figure1a, run_figure1b
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure11 import max_loss_divergence, run_figure11a, run_figure11d
@@ -72,6 +59,85 @@ def _parse_int_list(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
+    """The search flags ``estimate`` and ``sim-pipeline`` share.
+
+    Defaults come from :class:`SearchConfig`; :func:`_search_config` turns
+    the parsed flags into one.
+    """
+    parser.add_argument("--jitter", default=None, metavar="SPEC",
+                        help="seeded perturbation spec for Monte-Carlo robustness "
+                             "scoring: a bare sigma ('0.05') or "
+                             "'compute=S,link=S,swap=S,straggler=P[:ALPHA]'; '0' "
+                             "disables (every draw equals the deterministic run)")
+    parser.add_argument("--replicas", type=int,
+                        default=SearchConfig.monte_carlo_replicas,
+                        help="Monte-Carlo draws per candidate")
+    parser.add_argument("--seed", type=int, default=SearchConfig.monte_carlo_seed,
+                        help="base seed of the per-replica generators; a fixed "
+                             "seed reproduces the distribution bit for bit")
+    parser.add_argument("--objective", default=SearchConfig.risk_objective,
+                        choices=list(RISK_OBJECTIVES) + list(TTRAIN_OBJECTIVES),
+                        help="statistic ranking the candidates: a makespan "
+                             "objective (cvar = mean of the worst 5%%), or a "
+                             "ttrain_* objective over the failure-adjusted "
+                             "time-to-train distribution (requires --failures "
+                             "or --mtbf)")
+    parser.add_argument("--failures", default=None, metavar="SPEC",
+                        help="failure-process spec for time-to-train costing: "
+                             "'mtbf=<s>[,process=weibull[:shape]]"
+                             "[,correlated=<prob>[:<node>]]"
+                             "[,preempt=<every>[:<notice>]]'; '0' disables")
+    parser.add_argument("--mtbf", type=float, default=None, metavar="SECONDS",
+                        help="shorthand for --failures mtbf=<s>: per-rank "
+                             "Poisson failures with this mean time between "
+                             "failures")
+    parser.add_argument("--recovery", default=None, metavar="SPEC",
+                        help="checkpoint-restart recovery model: "
+                             "'write=<s>,restart=<s>[,interval=<s>][,elastic]'; "
+                             "interval defaults to the Young-Daly optimum")
+    parser.add_argument("--target-iterations", type=int,
+                        default=SearchConfig.target_iterations,
+                        help="training-run length (iterations) the "
+                             "time-to-train distribution is drawn over")
+    parser.add_argument("--ci-halfwidth", type=float, default=None, metavar="SECONDS",
+                        help="variance-aware budgeting: stop drawing replicas "
+                             "once the 95%% CI half-width of the ranking "
+                             "objective (in per-iteration seconds) is at or "
+                             "below this; --replicas stays the hard cap")
+
+
+def _search_config(args, **fields) -> Optional[SearchConfig]:
+    """The run's :class:`SearchConfig` from the shared search flags.
+
+    Any bad value prints one ``error:`` line and returns ``None`` (exit
+    code 2).  Two rules are the CLI's own: ``--failures`` and ``--mtbf``
+    are exclusive, and a ``ttrain_*`` objective needs an active failure
+    spec (a system accepts it without one, scoring the base statistic).
+    """
+    try:
+        if args.failures is not None and args.mtbf is not None:
+            raise ValueError("--failures and --mtbf are mutually exclusive")
+        config = SearchConfig(
+            jitter=args.jitter,
+            failures=args.failures if args.mtbf is None else FailureSpec(mtbf_s=args.mtbf),
+            recovery=args.recovery,
+            risk_objective=args.objective,
+            monte_carlo_replicas=args.replicas,
+            monte_carlo_seed=args.seed,
+            target_iterations=args.target_iterations,
+            monte_carlo_ci_halfwidth=args.ci_halfwidth,
+            **fields,
+        )
+        if config.risk_objective in TTRAIN_OBJECTIVES and not config.failures_active:
+            raise ValueError(f"--objective {args.objective} needs an active "
+                             "--failures/--mtbf spec")
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+    return config
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -85,33 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--model", default="7B", choices=["7B", "13B", "30B", "65B"])
     estimate.add_argument("--gpus", type=int, default=8)
     estimate.add_argument("--seqlen-k", type=int, default=256)
-    estimate.add_argument("--jitter", default=None, metavar="SPEC",
-                          help="seeded perturbation spec; scores each strategy by "
-                               "--objective over a Monte-Carlo makespan distribution")
-    estimate.add_argument("--failures", default=None, metavar="SPEC",
-                          help="failure-process spec (see sim-pipeline --failures); "
-                               "attaches a checkpoint-restart time-to-train "
-                               "distribution to every report")
-    estimate.add_argument("--mtbf", type=float, default=None, metavar="SECONDS",
-                          help="shorthand for --failures mtbf=<s>")
-    estimate.add_argument("--recovery", default=None, metavar="SPEC",
-                          help="checkpoint-restart recovery model "
-                               "(see sim-pipeline --recovery)")
-    estimate.add_argument("--objective", default="mean",
-                          choices=list(RISK_OBJECTIVES) + list(TTRAIN_OBJECTIVES),
-                          help="risk objective used when --jitter and/or --failures "
-                               "are active (ttrain_* requires --failures/--mtbf)")
-    estimate.add_argument("--replicas", type=int, default=16,
-                          help="Monte-Carlo draws per candidate")
-    estimate.add_argument("--seed", type=int, default=0,
-                          help="base seed of the per-replica generators")
-    estimate.add_argument("--target-iterations", type=int,
-                          default=DEFAULT_TARGET_ITERATIONS,
-                          help="iterations per training run for time-to-train costing")
-    estimate.add_argument("--ci-halfwidth", type=float, default=None, metavar="SECONDS",
-                          help="sequential-stopping CI half-width in per-iteration "
-                               "seconds; --replicas stays the hard cap")
-    estimate.add_argument("--stability-replicas", type=int, default=0,
+    _add_search_arguments(estimate)
+    estimate.add_argument("--stability-replicas", type=int,
+                          default=SearchConfig.stability_replicas,
                           help="re-run the strategy search under this many extra "
                                "seeds and report how often the deterministic winner "
                                "survives")
@@ -175,53 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim_pipeline.add_argument("--uniform-stages", action="store_true",
                               help="legacy uniform per-stage costs instead of the "
                                    "heterogeneous (embedding/classifier-aware) profile")
-    sim_pipeline.add_argument("--engine", default="fast", choices=["fast", "event"],
+    sim_pipeline.add_argument("--engine", default=SearchConfig.pipeline_engine,
+                              choices=PIPELINE_ENGINES,
                               help="schedule evaluator: memoized critical-path fast "
                                    "path (default) or the discrete-event engine; "
                                    "both report bit-identical numbers")
     sim_pipeline.add_argument("--validate", action="store_true",
                               help="cross-check the fast path against the event-engine "
                                    "oracle and fail on any divergence")
-    sim_pipeline.add_argument("--jitter", default=None, metavar="SPEC",
-                              help="seeded perturbation spec for Monte-Carlo robustness "
-                                   "scoring: a bare sigma ('0.05') or "
-                                   "'compute=S,link=S,straggler=P[:ALPHA]'; '0' disables "
-                                   "(every draw equals the deterministic run)")
-    sim_pipeline.add_argument("--replicas", type=int, default=16,
-                              help="Monte-Carlo draws per schedule when --jitter is given")
-    sim_pipeline.add_argument("--seed", type=int, default=0,
-                              help="base seed of the per-replica generators; a fixed "
-                                   "seed reproduces the distribution bit for bit")
-    sim_pipeline.add_argument("--objective", default="mean",
-                              choices=list(RISK_OBJECTIVES) + list(TTRAIN_OBJECTIVES),
-                              help="statistic ranking the schedules: a makespan "
-                                   "objective for the robustness table (cvar = mean "
-                                   "of the worst 5%%), or a ttrain_* objective over "
-                                   "the failure-adjusted time-to-train distribution "
-                                   "(requires --failures or --mtbf)")
-    sim_pipeline.add_argument("--failures", default=None, metavar="SPEC",
-                              help="failure-process spec for time-to-train costing: "
-                                   "'mtbf=<s>[,process=weibull[:shape]]"
-                                   "[,correlated=<prob>[:<node>]]"
-                                   "[,preempt=<every>[:<notice>]]'; '0' disables")
-    sim_pipeline.add_argument("--mtbf", type=float, default=None, metavar="SECONDS",
-                              help="shorthand for --failures mtbf=<s>: per-rank "
-                                   "Poisson failures with this mean time between "
-                                   "failures")
-    sim_pipeline.add_argument("--recovery", default=None, metavar="SPEC",
-                              help="checkpoint-restart recovery model: "
-                                   "'write=<s>,restart=<s>[,interval=<s>][,elastic]'; "
-                                   "interval defaults to the Young-Daly optimum")
-    sim_pipeline.add_argument("--target-iterations", type=int,
-                              default=DEFAULT_TARGET_ITERATIONS,
-                              help="training-run length (iterations) the "
-                                   "time-to-train distribution is drawn over")
-    sim_pipeline.add_argument("--ci-halfwidth", type=float, default=None,
-                              metavar="SECONDS",
-                              help="variance-aware budgeting: stop drawing replicas "
-                                   "once the 95%% CI half-width of the ranking "
-                                   "objective (in per-iteration seconds) is at or "
-                                   "below this; --replicas stays the hard cap")
+    _add_search_arguments(sim_pipeline)
 
     table3 = subparsers.add_parser("table3", help="regenerate Table 3 (or a subset)")
     table3.add_argument("--models", default="7B",
@@ -258,98 +262,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_failure_spec(args) -> "tuple[Optional[FailureSpec], Optional[str]]":
-    """Combine ``--failures`` / ``--mtbf`` into one spec (or an error message)."""
-    if args.failures is None and args.mtbf is None:
-        return None, None
-    if args.failures is not None and args.mtbf is not None:
-        return None, "--failures and --mtbf are mutually exclusive"
-    if args.mtbf is not None:
-        if not args.mtbf > 0:
-            return None, f"--mtbf must be a positive number of seconds (got {args.mtbf})"
-        return FailureSpec(mtbf_s=args.mtbf), None
-    try:
-        return parse_failure_spec(args.failures), None
-    except ValueError as error:
-        return None, f"--failures: {error}"
-
-
 def _command_estimate(args) -> int:
-    failures, failure_error = _resolve_failure_spec(args)
-    if failure_error is not None:
-        print(f"error: {failure_error}", file=sys.stderr)
+    config = _search_config(args, stability_replicas=args.stability_replicas)
+    if config is None:
         return 2
-    recovery = None
-    if args.recovery is not None:
-        try:
-            recovery = parse_recovery_spec(args.recovery)
-        except ValueError as error:
-            print(f"error: --recovery: {error}", file=sys.stderr)
-            return 2
-    jitter = None
-    if args.jitter is not None:
-        try:
-            jitter = parse_jitter_spec(args.jitter)
-        except ValueError as error:
-            print(f"error: --jitter: {error}", file=sys.stderr)
-            return 2
-    failures_active = failures is not None and not failures.is_null
-    if args.objective in TTRAIN_OBJECTIVES and not failures_active:
-        print(f"error: --objective {args.objective} needs an active "
-              "--failures/--mtbf spec", file=sys.stderr)
-        return 2
-    for name, floor in (("replicas", 1), ("target_iterations", 1),
-                        ("stability_replicas", 0)):
-        if getattr(args, name) < floor:
-            print(f"error: --{name.replace('_', '-')} must be >= {floor} "
-                  f"(got {getattr(args, name)})", file=sys.stderr)
-            return 2
-    if args.ci_halfwidth is not None and args.ci_halfwidth < 0:
-        print(f"error: --ci-halfwidth must be non-negative (got {args.ci_halfwidth})",
-              file=sys.stderr)
-        return 2
-    system_kwargs = dict(
-        risk_objective=args.objective,
-        monte_carlo_replicas=args.replicas,
-        monte_carlo_seed=args.seed,
-        target_iterations=args.target_iterations,
-        monte_carlo_ci_halfwidth=args.ci_halfwidth,
-        stability_replicas=args.stability_replicas,
-    )
-    if jitter is not None:
-        system_kwargs["jitter"] = jitter
-    if failures is not None:
-        system_kwargs["failures"] = failures
-    if recovery is not None:
-        system_kwargs["recovery"] = recovery
-
-    ttrain_objective = (args.objective if args.objective in TTRAIN_OBJECTIVES
-                        else "ttrain_" + args.objective)
     workload = Workload(args.model, tokens(args.seqlen_k), args.gpus)
     print(f"Workload: {args.model} GPT, {args.seqlen_k}K tokens, {args.gpus} GPUs, "
           f"global batch {workload.global_batch_samples} sequences")
-    if failures_active:
-        shown_recovery = recovery if recovery is not None else DEFAULT_RECOVERY
-        print(f"Failure process {failures.describe()}; recovery "
-              f"{shown_recovery.describe()}; time-to-train objective "
-              f"{ttrain_objective} over {args.target_iterations} iterations")
+    if config.failures_active:
+        print(f"Failure process {config.failures.describe()}; recovery "
+              f"{config.recovery.describe()}; time-to-train objective "
+              f"{config.ttrain_objective} over {config.target_iterations} iterations")
     print()
-    if failures_active:
+    if config.failures_active:
         header = (f"{'system':<14} {'MFU':>8} {'TGS':>10} {'wall clock':>12} "
                   f"{'ttrain':>10} {'slowdown':>9}  strategy")
     else:
         header = f"{'system':<14} {'MFU':>8} {'TGS':>10} {'wall clock':>12}  strategy"
     print(header)
     print("-" * len(header))
-    for system in (DeepSpeedSystem(**system_kwargs), MegatronSystem(**system_kwargs),
-                   MemoSystem(**system_kwargs)):
+    for system in (DeepSpeedSystem(config=config), MegatronSystem(config=config),
+                   MemoSystem(config=config)):
         report = system.run(workload)
         if report.feasible:
             if report.time_to_train is not None:
                 ttd = report.time_to_train
                 print(f"{report.system:<14} {report.mfu * 100:>7.2f}% "
                       f"{report.tgs:>10.1f} {report.wall_clock:>12} "
-                      f"{ttd.statistic(ttrain_objective_base(ttrain_objective)):>9.0f}s "
+                      f"{ttd.statistic(config.base_objective):>9.0f}s "
                       f"{ttd.expected_slowdown:>8.3f}x  {report.parallel.describe()}")
             else:
                 print(f"{report.system:<14} {report.mfu * 100:>7.2f}% "
@@ -431,44 +371,10 @@ def _command_sim_pipeline(args) -> int:
         print(f"error: TP x CP x PP ({model_parallel}) must divide --gpus ({args.gpus})",
               file=sys.stderr)
         return 2
-    jitter = None
-    if args.jitter is not None:
-        try:
-            jitter = parse_jitter_spec(args.jitter)
-        except ValueError as error:
-            print(f"error: --jitter: {error}", file=sys.stderr)
-            return 2
-    failures, failure_error = _resolve_failure_spec(args)
-    if failure_error is not None:
-        print(f"error: {failure_error}", file=sys.stderr)
+    config = _search_config(args, pipeline_engine=args.engine,
+                            validate_pipeline=args.validate)
+    if config is None:
         return 2
-    recovery = DEFAULT_RECOVERY
-    if args.recovery is not None:
-        try:
-            recovery = parse_recovery_spec(args.recovery)
-        except ValueError as error:
-            print(f"error: --recovery: {error}", file=sys.stderr)
-            return 2
-    failures_active = failures is not None and not failures.is_null
-    if args.objective in TTRAIN_OBJECTIVES and not failures_active:
-        print(f"error: --objective {args.objective} ranks the failure-adjusted "
-              "time-to-train distribution and needs an active --failures/--mtbf "
-              "spec", file=sys.stderr)
-        return 2
-    if (jitter is not None or failures_active) and args.replicas < 1:
-        print(f"error: --replicas must be a positive integer (got {args.replicas})",
-              file=sys.stderr)
-        return 2
-    if args.target_iterations < 1:
-        print(f"error: --target-iterations must be a positive integer "
-              f"(got {args.target_iterations})", file=sys.stderr)
-        return 2
-    if args.ci_halfwidth is not None and args.ci_halfwidth < 0:
-        print(f"error: --ci-halfwidth must be non-negative (got {args.ci_halfwidth})",
-              file=sys.stderr)
-        return 2
-    base_objective = (ttrain_objective_base(args.objective)
-                      if args.objective in TTRAIN_OBJECTIVES else args.objective)
     parallel = ParallelismConfig(
         tensor_parallel=args.tp,
         context_parallel=args.cp,
@@ -633,7 +539,7 @@ def _command_sim_pipeline(args) -> int:
             schedule, costs,
             p2p_bandwidth_bytes_per_s=p2p_bandwidth,
             pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-            engine=args.engine, validate=args.validate,
+            engine=config.pipeline_engine, validate=config.validate_pipeline,
         )
         stages = stage_peak_memory(
             schedule, costs,
@@ -647,31 +553,32 @@ def _command_sim_pipeline(args) -> int:
               f"{stages[0].total_bytes / GiB:>9.2f} GiB  "
               f"{timeline.rank_peak_in_flight}")
         distribution = None
-        if jitter is not None:
+        if config.jitter is not None:
             distribution = monte_carlo_timeline(
-                schedule, costs, jitter,
-                replicas=args.replicas, seed=args.seed,
+                schedule, costs, config.jitter,
+                replicas=config.monte_carlo_replicas, seed=config.monte_carlo_seed,
                 p2p_bandwidth_bytes_per_s=p2p_bandwidth,
                 pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-                validate=args.validate,
-                ci_halfwidth=args.ci_halfwidth, objective=base_objective,
+                validate=config.validate_pipeline,
+                ci_halfwidth=config.monte_carlo_ci_halfwidth,
+                objective=config.base_objective,
             )
             distributions.append((label, distribution))
-        if failures_active:
+        if config.failures_active:
             iteration_samples = (distribution.samples if distribution is not None
                                  else (timeline.total_s,))
             ttrains.append((label, simulate_time_to_train(
-                iteration_samples, args.target_iterations, failures, recovery,
-                num_ranks=args.gpus, replicas=args.replicas, seed=args.seed,
+                iteration_samples, config.target_iterations, config.failures,
+                config.recovery, num_ranks=args.gpus,
+                replicas=config.monte_carlo_replicas, seed=config.monte_carlo_seed,
                 gpus_per_node=workload.cluster().node.gpus_per_node,
-                ci_halfwidth=args.ci_halfwidth,
-                objective=(args.objective if args.objective in TTRAIN_OBJECTIVES
-                           else "ttrain_" + args.objective),
+                ci_halfwidth=config.monte_carlo_ci_halfwidth,
+                objective=config.ttrain_objective,
             )))
 
     if distributions:
-        print(f"\nRobustness under jitter {jitter.describe()} "
-              f"({args.replicas} replicas, seed {args.seed}; "
+        print(f"\nRobustness under jitter {config.jitter.describe()} "
+              f"({config.monte_carlo_replicas} replicas, seed {config.monte_carlo_seed}; "
               f"every draw >= deterministic >= analytic bound):")
         header = (f"{'schedule':<13} {'det':>9} {'mean':>9} {'p50':>9} "
                   f"{'p95':>9} {'p99':>9} {'cvar':>9} {'bubble var':>11}")
@@ -682,19 +589,19 @@ def _command_sim_pipeline(args) -> int:
                   f"{dist.mean_s:>8.2f}s {dist.p50_s:>8.2f}s "
                   f"{dist.p95_s:>8.2f}s {dist.p99_s:>8.2f}s "
                   f"{dist.cvar95_s:>8.2f}s {dist.bubble_variance:>11.5f}")
-        if args.objective in RISK_OBJECTIVES:
-            winner = min(distributions, key=lambda row: row[1].score(args.objective))
-            print(f"best by {args.objective}: {winner[0]} "
-                  f"({winner[1].score(args.objective):.2f}s)")
+        if config.risk_objective in RISK_OBJECTIVES:
+            objective = config.risk_objective
+            winner = min(distributions, key=lambda row: row[1].score(objective))
+            print(f"best by {objective}: {winner[0]} "
+                  f"({winner[1].score(objective):.2f}s)")
 
     if ttrains:
-        ttrain_objective = (args.objective if args.objective in TTRAIN_OBJECTIVES
-                            else "ttrain_" + args.objective)
-        interval = recovery.interval_for(failures, args.gpus)
+        interval = config.recovery.interval_for(config.failures, args.gpus)
         interval_text = "inf" if math.isinf(interval) else f"{interval:.0f}s"
-        print(f"\nTime-to-train under failures {failures.describe()} "
-              f"(recovery {recovery.describe()}, checkpoint interval {interval_text}, "
-              f"{args.target_iterations} iterations, seed {args.seed}):")
+        print(f"\nTime-to-train under failures {config.failures.describe()} "
+              f"(recovery {config.recovery.describe()}, checkpoint interval "
+              f"{interval_text}, {config.target_iterations} iterations, "
+              f"seed {config.monte_carlo_seed}):")
         header = (f"{'schedule':<13} {'ideal':>10} {'mean':>10} {'p50':>10} "
                   f"{'p99':>10} {'cvar':>10} {'interrupts':>11} {'slowdown':>9} "
                   f"{'draws':>6}")
@@ -705,9 +612,9 @@ def _command_sim_pipeline(args) -> int:
                   f"{ttd.p50_s:>9.1f}s {ttd.p99_s:>9.1f}s {ttd.cvar95_s:>9.1f}s "
                   f"{ttd.mean_failures:>11.1f} {ttd.expected_slowdown:>8.3f}x "
                   f"{len(ttd.samples):>6}")
-        winner = min(ttrains, key=lambda row: row[1].score(ttrain_objective))
-        print(f"best by {ttrain_objective}: {winner[0]} "
-              f"({winner[1].statistic(ttrain_objective_base(ttrain_objective)):.1f}s "
+        winner = min(ttrains, key=lambda row: row[1].score(config.ttrain_objective))
+        print(f"best by {config.ttrain_objective}: {winner[0]} "
+              f"({winner[1].statistic(config.base_objective):.1f}s "
               f"over the run)")
     return 0
 

@@ -37,26 +37,37 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import tokens
-from repro.systems.base import Workload
+from repro.parallel.search import SearchConfig
+from repro.sim.stochastic import DEFAULT_REPLICAS
+from repro.systems.base import TrainingSystem, Workload
+from repro.systems.deepspeed import DeepSpeedSystem
+from repro.systems.megatron import MegatronSystem
+from repro.systems.memo import MemoSystem
 
 
 class GridSpecError(ValueError):
     """A workload-grid spec is malformed (unknown key, bad value, empty)."""
 
 
-#: Training systems a grid may plan for.  Resolved lazily (the value is the
-#: class path inside :mod:`repro.systems`) to keep this module import-light.
-SYSTEM_NAMES: Tuple[str, ...] = ("megatron", "memo", "deepspeed")
+#: Training systems a grid may plan for, by name.
+SYSTEMS = {"megatron": MegatronSystem, "memo": MemoSystem, "deepspeed": DeepSpeedSystem}
+SYSTEM_NAMES: Tuple[str, ...] = tuple(SYSTEMS)
 
 _AXIS_KEYS = ("model", "seqlen_k", "sequence_length", "gpus", "global_batch")
 _SEARCH_KEYS = (
     "system", "jitter", "failures", "recovery", "objective",
     "replicas", "seed", "target_iterations",
 )
+#: The ``search`` keys that set a :class:`SearchConfig` field, and that field.
+CONFIG_FIELDS: Dict[str, str] = {
+    "jitter": "jitter", "failures": "failures", "recovery": "recovery",
+    "objective": "risk_objective", "replicas": "monte_carlo_replicas",
+    "seed": "monte_carlo_seed", "target_iterations": "target_iterations",
+}
 
 
 @dataclass(frozen=True)
@@ -113,9 +124,11 @@ class WorkloadPoint:
 class SearchSettings:
     """Shared search knobs applied identically to every grid point.
 
-    The stochastic specs travel as their CLI grammar strings (parsed by the
-    training system exactly like ``repro estimate --jitter ...`` would), so
-    a fleet row reproduces with a copy-pasteable single-workload command.
+    The stochastic specs travel as their CLI grammar strings, so a fleet row
+    reproduces with a copy-pasteable single-workload command.  The settings
+    are validated once, at load, by building :attr:`config`: a bad value
+    raises :class:`GridSpecError` carrying the
+    :class:`~repro.parallel.search.SearchConfig` message.
     """
 
     system: str = "megatron"
@@ -123,52 +136,29 @@ class SearchSettings:
     failures: Optional[str] = None
     recovery: Optional[str] = None
     objective: str = "mean"
-    replicas: int = 16
+    replicas: int = DEFAULT_REPLICAS
     seed: int = 0
     target_iterations: Optional[int] = None
+    #: The search config every point's system runs with (auto schedule sweep).
+    config: SearchConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.system not in SYSTEM_NAMES:
             raise GridSpecError(
                 f"unknown system {self.system!r}; expected one of {SYSTEM_NAMES}"
             )
-        # The training system owns the knob rules; building it once here
-        # fails a bad grid at load time instead of once per point.
+        knobs = {name: getattr(self, key) for key, name in CONFIG_FIELDS.items()}
+        if self.target_iterations is None:
+            del knobs["target_iterations"]  # the config's default
         try:
-            self.build_system()
-        except (TypeError, ValueError) as error:
+            config = SearchConfig(pipeline_schedule="auto", **knobs)
+        except ValueError as error:
             raise GridSpecError(f"bad search settings: {error}") from None
+        object.__setattr__(self, "config", config)
 
-    def system_kwargs(self) -> dict:
-        """Constructor kwargs of the per-point training system."""
-        kwargs: dict = {
-            "pipeline_schedule": "auto",
-            "risk_objective": self.objective,
-            "monte_carlo_replicas": self.replicas,
-            "monte_carlo_seed": self.seed,
-        }
-        if self.jitter is not None:
-            kwargs["jitter"] = self.jitter
-        if self.failures is not None:
-            kwargs["failures"] = self.failures
-        if self.recovery is not None:
-            kwargs["recovery"] = self.recovery
-        if self.target_iterations is not None:
-            kwargs["target_iterations"] = self.target_iterations
-        return kwargs
-
-    def build_system(self):
-        """Instantiate the configured training system (auto schedule sweep)."""
-        from repro.systems.deepspeed import DeepSpeedSystem
-        from repro.systems.megatron import MegatronSystem
-        from repro.systems.memo import MemoSystem
-
-        factory = {
-            "megatron": MegatronSystem,
-            "memo": MemoSystem,
-            "deepspeed": DeepSpeedSystem,
-        }[self.system]
-        return factory(**self.system_kwargs())
+    def build_system(self) -> TrainingSystem:
+        """Instantiate the configured training system on :attr:`config`."""
+        return SYSTEMS[self.system](config=self.config)
 
     def to_json_dict(self) -> dict:
         """Plain-JSON mapping; inverse of :meth:`from_json_dict`."""
@@ -300,12 +290,7 @@ class WorkloadGrid:
             raise GridSpecError(
                 f"unknown search knobs {sorted(unknown)}; expected {sorted(_SEARCH_KEYS)}"
             )
-        try:
-            search = SearchSettings(**dict(search_spec))
-        except TypeError as error:
-            raise GridSpecError(f"bad search section: {error}") from None
-
-        return cls(points=tuple(expanded), search=search)
+        return cls(points=tuple(expanded), search=SearchSettings(**search_spec))
 
     @classmethod
     def from_file(cls, path: Union[str, os.PathLike]) -> "WorkloadGrid":

@@ -51,12 +51,14 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import (
-    Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple, TypeVar,
+    Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple, TypeVar, Union,
 )
 
+from repro.config import require_count
 from repro.jsonutil import from_hex_float, hex_float
 
 from repro.model.specs import ModelConfig
@@ -66,8 +68,19 @@ from repro.parallel.strategy import (
     ParallelismConfig,
     RecomputeMode,
 )
+from repro.sim.failures import (
+    DEFAULT_RECOVERY,
+    DEFAULT_TARGET_ITERATIONS,
+    FailureSpec,
+    RecoveryModel,
+    TTRAIN_OBJECTIVES,
+    parse_failure_spec,
+    parse_recovery_spec,
+    ttrain_objective_base,
+)
 from repro.sim.fastpath import cached_build_schedule
 from repro.sim.schedules import ScheduleKind, V_WAVE_CHUNKS, WaveRatio
+from repro.sim.stochastic import DEFAULT_REPLICAS, JitterSpec, RISK_OBJECTIVES, parse_jitter_spec
 
 #: Schedule kinds a training system's strategy search may try for a PP
 #: candidate (GPipe is omitted: it is dominated by 1F1B on both time and
@@ -126,6 +139,180 @@ class StrategySearchSpace:
     recompute_modes: Sequence[RecomputeMode] = (RecomputeMode.NONE, RecomputeMode.FULL)
     offload_modes: Sequence[OffloadMode] = (OffloadMode.NONE,)
     max_tensor_parallel_span_nodes: int = 2
+
+
+#: The two pipeline evaluators; they report bit-identical numbers.
+PIPELINE_ENGINES: Tuple[str, ...] = ("fast", "event")
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Every knob of a training system's strategy search, declared once.
+
+    The systems, a fleet grid's ``search`` section and the ``estimate`` /
+    ``sim-pipeline`` flags all build one.  Construction parses the schedule
+    name and the jitter, failure and recovery spec strings, and raises
+    ``ValueError`` on any bad value, so each knob has one default, one rule
+    and one message.  :func:`dataclasses.replace` derives a variant and
+    re-validates it.
+    """
+
+    #: How PP candidates are executed and scored -- their iteration time
+    #: comes from simulating this schedule (1F1B by default, the schedule
+    #: Megatron-LM and DeepSpeed run).  ``"auto"`` simulates every candidate
+    #: in :data:`PIPELINE_SCHEDULE_CANDIDATES` (1F1B, interleaved, ZB-H1,
+    #: ZB-V) and keeps the fastest feasible one.  ``None`` falls back to the
+    #: legacy analytic bubble formula.  A schedule name is parsed to its
+    #: :class:`~repro.sim.schedules.ScheduleKind`.
+    pipeline_schedule: Union[ScheduleKind, str, None] = ScheduleKind.ONE_F_ONE_B
+    #: Virtual chunks per rank for interleaved-1F1B.
+    pipeline_chunks: int = 1
+    #: ``"fast"`` (memoized critical-path evaluator, the default) or
+    #: ``"event"`` (discrete-event engine); the two report bit-identical
+    #: numbers, so this only trades speed.
+    pipeline_engine: str = "fast"
+    #: Cross-check every fast-path evaluation against the event-engine
+    #: oracle (slow; raises on any divergence).
+    validate_pipeline: bool = False
+    #: Skip schedule candidates whose analytic lower bound cannot beat the
+    #: incumbent (on by default; the bound is conservative, so disabling this
+    #: only slows the sweep, it never changes the selected strategy).
+    prune_schedule_sweep: bool = True
+    #: Order strategy candidates by their analytic floor
+    #: (``TrainingSystem.strategy_lower_bound``) and skip whole parallelism
+    #: points that provably cannot beat the best feasible candidate found so
+    #: far -- before any cost model, stage executor or schedule sweep runs
+    #: for them.  Like the schedule-level bound this is conservative and
+    #: never changes the selected strategy, only the work spent finding it.
+    prune_strategy_search: bool = True
+    #: Perturbation model for risk-adjusted scoring -- a
+    #: :class:`~repro.sim.stochastic.JitterSpec` or a spec string
+    #: (:func:`~repro.sim.stochastic.parse_jitter_spec`, e.g.
+    #: ``"compute=0.05,straggler=0.1:3"``).  ``None`` (or the null spec)
+    #: keeps every reported number bit-identical to the deterministic search;
+    #: a non-null spec replicates each PP candidate's pipeline schedule
+    #: ``monte_carlo_replicas`` times under seeded perturbations and scores it
+    #: with ``risk_objective``.  Every jitter multiplier is >= 1, so both
+    #: pruning floors stay valid under any objective.
+    jitter: Union[JitterSpec, str, None] = None
+    #: Which makespan statistic competes -- ``"mean" | "p50" | "p95" | "p99"
+    #: | "cvar"``, or a failure-adjusted ``"ttrain_mean" | "ttrain_p50" |
+    #: "ttrain_p95" | "ttrain_p99" | "ttrain_cvar"`` objective scoring each
+    #: candidate by the effective per-iteration time of a checkpoint-restart
+    #: walk under the ``failures`` process
+    #: (:func:`repro.sim.failures.simulate_time_to_train`); with a
+    #: null/absent failure spec every ``ttrain_*`` objective degrades to its
+    #: base statistic.
+    risk_objective: str = "mean"
+    #: Draws per candidate when jitter or failures are active.
+    monte_carlo_replicas: int = DEFAULT_REPLICAS
+    #: Base seed of the replica generators (a non-negative ``int``); a fixed
+    #: seed makes the whole search reproducible bit for bit.
+    monte_carlo_seed: int = 0
+    #: Failure/preemption arrival process -- a
+    #: :class:`~repro.sim.failures.FailureSpec` or a spec string
+    #: (:func:`~repro.sim.failures.parse_failure_spec`, e.g.
+    #: ``"mtbf=43200,correlated=0.3:8,preempt=21600:120"``).  ``None`` (or
+    #: the null spec ``"0"``) keeps every reported number bit-identical to the
+    #: failure-free run; a non-null spec attaches the winner's time-to-train
+    #: distribution to the report and, under a ``ttrain_*`` objective, scores
+    #: every candidate by it.
+    failures: Union[FailureSpec, str, None] = None
+    #: Checkpoint-restart costing -- a
+    #: :class:`~repro.sim.failures.RecoveryModel` or a spec string
+    #: (:func:`~repro.sim.failures.parse_recovery_spec`, e.g.
+    #: ``"write=30,restart=300,elastic"``); ``None`` means
+    #: :data:`~repro.sim.failures.DEFAULT_RECOVERY`.
+    recovery: Union[RecoveryModel, str, None] = DEFAULT_RECOVERY
+    #: Job length (iterations) of the time-to-train walk.
+    target_iterations: int = DEFAULT_TARGET_ITERATIONS
+    #: Variance-aware replica budgeting -- when set, Monte-Carlo replication
+    #: per candidate stops as soon as the risk objective's 95% CI half-width
+    #: (in iteration seconds) is under this bound, with
+    #: ``monte_carlo_replicas`` as the hard cap; ``None`` keeps the
+    #: fixed-replica behaviour.
+    monte_carlo_ci_halfwidth: Optional[float] = None
+    #: When positive, ``TrainingSystem.run`` additionally sweeps
+    #: ``strategy_selection_stability`` over this many Monte-Carlo seeds and
+    #: attaches the report.
+    stability_replicas: int = 0
+
+    def __post_init__(self) -> None:
+        schedule = self.pipeline_schedule
+        if isinstance(schedule, str) and schedule != "auto":
+            object.__setattr__(self, "pipeline_schedule", ScheduleKind.from_name(schedule))
+        elif not (schedule is None or schedule == "auto" or isinstance(schedule, ScheduleKind)):
+            raise ValueError(
+                f"pipeline_schedule must be a schedule name, 'auto' or None (got {schedule!r})"
+            )
+        if self.pipeline_engine not in PIPELINE_ENGINES:
+            raise ValueError(
+                f"unknown pipeline_engine {self.pipeline_engine!r}; expected 'fast' or 'event'"
+            )
+        for name in ("validate_pipeline", "prune_schedule_sweep", "prune_strategy_search"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool (got {getattr(self, name)!r})")
+        if self.risk_objective not in RISK_OBJECTIVES + TTRAIN_OBJECTIVES:
+            raise ValueError(
+                f"unknown risk_objective {self.risk_objective!r}; "
+                f"expected one of {RISK_OBJECTIVES + TTRAIN_OBJECTIVES}"
+            )
+        for name, low in (("pipeline_chunks", 1), ("monte_carlo_replicas", 1),
+                          ("monte_carlo_seed", 0), ("target_iterations", 1),
+                          ("stability_replicas", 0)):
+            require_count(name, getattr(self, name), low)
+        for name, kind, parse in (("jitter", JitterSpec, parse_jitter_spec),
+                                  ("failures", FailureSpec, parse_failure_spec),
+                                  ("recovery", RecoveryModel, parse_recovery_spec)):
+            object.__setattr__(self, name, _parsed_spec(name, getattr(self, name), kind, parse))
+        if self.recovery is None:
+            object.__setattr__(self, "recovery", DEFAULT_RECOVERY)
+        bound = self.monte_carlo_ci_halfwidth
+        if bound is not None and (
+            isinstance(bound, bool) or not isinstance(bound, numbers.Real) or not bound >= 0
+        ):
+            raise ValueError(f"monte_carlo_ci_halfwidth must be non-negative (got {bound!r})")
+
+    @property
+    def monte_carlo_active(self) -> bool:
+        """Whether PP candidates are scored by replication rather than one run."""
+        return self.jitter is not None and not self.jitter.is_null
+
+    @property
+    def failures_active(self) -> bool:
+        """Whether the failure process contributes events at all."""
+        return self.failures is not None and not self.failures.is_null
+
+    @property
+    def base_objective(self) -> str:
+        """The makespan statistic underlying :attr:`risk_objective`."""
+        if self.risk_objective in TTRAIN_OBJECTIVES:
+            return ttrain_objective_base(self.risk_objective)
+        return self.risk_objective
+
+    @property
+    def ttrain_objective(self) -> str:
+        """The ``ttrain_*`` objective a time-to-train walk reports."""
+        return "ttrain_" + self.base_objective
+
+    @property
+    def ttrain_scoring(self) -> bool:
+        """Whether candidates compete on failure-adjusted time-to-train."""
+        return self.failures_active and self.risk_objective in TTRAIN_OBJECTIVES
+
+
+def _parsed_spec(name: str, value: object, kind: type, parse: Callable[[str], object]):
+    """``value`` if it is ``None`` or a ``kind``, else parsed from its spec string."""
+    if value is None or isinstance(value, kind):
+        return value
+    if not isinstance(value, str):
+        raise ValueError(
+            f"{name} must be a {kind.__name__}, a spec string or None (got {value!r})"
+        )
+    try:
+        return parse(value)
+    except ValueError as error:
+        raise ValueError(f"{name}: {error}") from None
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,7 @@ from repro.jsonutil import (
 )
 
 from repro.sim.stochastic import (
+    DEFAULT_REPLICAS,
     MIN_SEQUENTIAL_REPLICAS,
     ReplicaBudget,
     SampleStatistics,
@@ -838,7 +839,7 @@ def simulate_time_to_train(
     spec: FailureSpec,
     recovery: RecoveryModel = DEFAULT_RECOVERY,
     num_ranks: int = 1,
-    replicas: int = 16,
+    replicas: int = DEFAULT_REPLICAS,
     seed: int = 0,
     gpus_per_node: Optional[int] = None,
     ci_halfwidth: Optional[float] = None,

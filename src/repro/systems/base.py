@@ -30,12 +30,13 @@ Scoring invariants:
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import (
     CalibrationConstants, DEFAULT_CALIBRATION, DEFAULT_PRECISION, PrecisionConfig, require_count,
@@ -49,6 +50,7 @@ from repro.parallel.search import (
     PIPELINE_SCHEDULE_CANDIDATES,
     ParetoFrontier,
     ParetoPoint,
+    SearchConfig,
     SearchStats,
     StrategySearchSpace,
     deduplicated_degenerate_warnings,
@@ -74,27 +76,9 @@ from repro.sim.pipeline import (
     heterogeneous_stage_costs,
     stage_costs_from_iteration,
 )
-from repro.sim.failures import (
-    DEFAULT_RECOVERY,
-    DEFAULT_TARGET_ITERATIONS,
-    FailureSpec,
-    RecoveryModel,
-    TTRAIN_OBJECTIVES,
-    TimeToTrainDistribution,
-    parse_failure_spec,
-    parse_recovery_spec,
-    simulate_time_to_train,
-    ttrain_objective_base,
-)
+from repro.sim.failures import TimeToTrainDistribution, simulate_time_to_train
 from repro.sim.schedules import PipelineSchedule, ScheduleKind
-from repro.sim.stochastic import (
-    DEFAULT_REPLICAS,
-    JitterSpec,
-    MakespanDistribution,
-    RISK_OBJECTIVES,
-    monte_carlo_timeline,
-    parse_jitter_spec,
-)
+from repro.sim.stochastic import MakespanDistribution, monte_carlo_timeline
 from repro.swap.schedule import SwapSchedule, build_swap_schedule
 from repro.systems.metrics import compute_mfu, compute_tgs, format_wall_clock
 
@@ -652,161 +636,14 @@ class TrainingSystem(ABC):
         self,
         calibration: CalibrationConstants = DEFAULT_CALIBRATION,
         precision: PrecisionConfig = DEFAULT_PRECISION,
-        pipeline_schedule: Optional[Union[ScheduleKind, str]] = ScheduleKind.ONE_F_ONE_B,
-        pipeline_chunks: int = 1,
-        pipeline_engine: str = "fast",
-        validate_pipeline: bool = False,
-        prune_schedule_sweep: bool = True,
-        prune_strategy_search: bool = True,
-        jitter: Optional[Union[JitterSpec, str]] = None,
-        risk_objective: str = "mean",
-        monte_carlo_replicas: int = DEFAULT_REPLICAS,
-        monte_carlo_seed: int = 0,
-        failures: Optional[Union[FailureSpec, str]] = None,
-        recovery: Optional[Union[RecoveryModel, str]] = None,
-        target_iterations: int = DEFAULT_TARGET_ITERATIONS,
-        monte_carlo_ci_halfwidth: Optional[float] = None,
-        stability_replicas: int = 0,
+        config: SearchConfig = SearchConfig(),
+        **overrides,
     ) -> None:
-        """Args:
-            pipeline_schedule: how PP candidates are executed and scored --
-                their iteration time comes from simulating this schedule
-                (1F1B by default, the schedule Megatron-LM and DeepSpeed run).
-                ``"auto"`` simulates every candidate in
-                :data:`repro.parallel.search.PIPELINE_SCHEDULE_CANDIDATES`
-                (1F1B, interleaved, ZB-H1, ZB-V) and keeps the fastest
-                feasible one.
-                ``None`` falls back to the legacy analytic bubble formula.
-            pipeline_chunks: virtual chunks per rank for interleaved-1F1B.
-            pipeline_engine: ``"fast"`` (memoized critical-path evaluator,
-                the default) or ``"event"`` (discrete-event engine); the two
-                report bit-identical numbers, so this only trades speed.
-            validate_pipeline: cross-check every fast-path evaluation against
-                the event-engine oracle (slow; raises on any divergence).
-            prune_schedule_sweep: skip schedule candidates whose analytic
-                lower bound cannot beat the incumbent (on by default; the
-                bound is conservative, so disabling this only slows the
-                sweep, it never changes the selected strategy).
-            prune_strategy_search: order strategy candidates by their
-                analytic floor (:meth:`strategy_lower_bound`) and skip whole
-                parallelism points that provably cannot beat the best
-                feasible candidate found so far -- before any cost model,
-                stage executor or schedule sweep runs for them.  Like the
-                schedule-level bound this is conservative and never changes
-                the selected strategy, only the work spent finding it.
-            jitter: perturbation model for risk-adjusted scoring -- a
-                :class:`~repro.sim.stochastic.JitterSpec` or a spec string
-                (:func:`~repro.sim.stochastic.parse_jitter_spec`, e.g.
-                ``"compute=0.05,straggler=0.1:3"``).  ``None`` (or the null
-                spec) keeps every reported number bit-identical to the
-                deterministic search; a non-null spec replicates each PP
-                candidate's pipeline schedule ``monte_carlo_replicas`` times
-                under seeded perturbations and scores it with
-                ``risk_objective``.  Every jitter multiplier is >= 1, so
-                both pruning floors stay valid under any objective.
-            risk_objective: which makespan statistic competes --
-                ``"mean" | "p50" | "p95" | "p99" | "cvar"``, or a
-                failure-adjusted ``"ttrain_mean" | "ttrain_p50" | "ttrain_p95"
-                | "ttrain_p99" | "ttrain_cvar"`` objective scoring each
-                candidate by the effective per-iteration time of a
-                checkpoint-restart walk under the ``failures`` process
-                (:func:`repro.sim.failures.simulate_time_to_train`); with a
-                null/absent failure spec every ``ttrain_*`` objective
-                degrades to its base statistic.
-            monte_carlo_replicas: draws per candidate when jitter is active.
-            monte_carlo_seed: base seed of the replica generators (a
-                non-negative ``int``); a fixed seed makes the whole search
-                reproducible bit for bit.
-            failures: failure/preemption arrival process -- a
-                :class:`~repro.sim.failures.FailureSpec` or a spec string
-                (:func:`~repro.sim.failures.parse_failure_spec`, e.g.
-                ``"mtbf=43200,correlated=0.3:8,preempt=21600:120"``).
-                ``None`` (or the null spec ``"0"``) keeps every reported
-                number bit-identical to the failure-free run; a non-null
-                spec attaches the winner's time-to-train distribution to the
-                report and, under a ``ttrain_*`` objective, scores every
-                candidate by it.
-            recovery: checkpoint-restart costing -- a
-                :class:`~repro.sim.failures.RecoveryModel` or a spec string
-                (:func:`~repro.sim.failures.parse_recovery_spec`, e.g.
-                ``"write=30,restart=300,elastic"``); defaults to
-                :data:`~repro.sim.failures.DEFAULT_RECOVERY`.
-            target_iterations: job length (iterations) of the time-to-train
-                walk.
-            monte_carlo_ci_halfwidth: variance-aware replica budgeting --
-                when set, Monte-Carlo replication per candidate stops as soon
-                as the risk objective's 95% CI half-width (in iteration
-                seconds) is under this bound, with ``monte_carlo_replicas``
-                as the hard cap; ``None`` keeps the fixed-replica behaviour.
-            stability_replicas: when positive, :meth:`run` additionally
-                sweeps :meth:`strategy_selection_stability` over this many
-                Monte-Carlo seeds and attaches the report.
-        """
+        """``config`` holds the search knobs (:class:`~repro.parallel.search.SearchConfig`);
+        ``overrides`` replace its fields, validated by the same constructor."""
         self.calibration = calibration
         self.precision = precision
-        if isinstance(pipeline_schedule, str) and pipeline_schedule != "auto":
-            pipeline_schedule = ScheduleKind.from_name(pipeline_schedule)
-        self.pipeline_schedule = pipeline_schedule
-        self.pipeline_chunks = pipeline_chunks
-        if pipeline_engine not in ("fast", "event"):
-            raise ValueError(
-                f"unknown pipeline_engine {pipeline_engine!r}; expected 'fast' or 'event'"
-            )
-        self.pipeline_engine = pipeline_engine
-        self.validate_pipeline = validate_pipeline
-        self.prune_schedule_sweep = prune_schedule_sweep
-        self.prune_strategy_search = prune_strategy_search
-        if isinstance(jitter, str):
-            jitter = parse_jitter_spec(jitter)
-        self.jitter = jitter
-        if risk_objective not in RISK_OBJECTIVES and risk_objective not in TTRAIN_OBJECTIVES:
-            raise ValueError(
-                f"unknown risk_objective {risk_objective!r}; "
-                f"expected one of {RISK_OBJECTIVES + TTRAIN_OBJECTIVES}"
-            )
-        self.risk_objective = risk_objective
-        require_count("monte_carlo_replicas", monte_carlo_replicas, 1)
-        self.monte_carlo_replicas = monte_carlo_replicas
-        require_count("monte_carlo_seed", monte_carlo_seed, 0)
-        self.monte_carlo_seed = monte_carlo_seed
-        if isinstance(failures, str):
-            failures = parse_failure_spec(failures)
-        self.failures = failures
-        if isinstance(recovery, str):
-            recovery = parse_recovery_spec(recovery)
-        self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
-        require_count("target_iterations", target_iterations, 1)
-        self.target_iterations = target_iterations
-        if monte_carlo_ci_halfwidth is not None and not monte_carlo_ci_halfwidth >= 0:
-            raise ValueError(
-                f"monte_carlo_ci_halfwidth must be non-negative (got {monte_carlo_ci_halfwidth})"
-            )
-        self.monte_carlo_ci_halfwidth = monte_carlo_ci_halfwidth
-        require_count("stability_replicas", stability_replicas, 0)
-        self.stability_replicas = stability_replicas
-        self._in_stability_sweep = False
-
-    @property
-    def _monte_carlo_active(self) -> bool:
-        """Whether PP candidates are scored by replication rather than one run."""
-        return self.jitter is not None and not self.jitter.is_null
-
-    @property
-    def _failures_active(self) -> bool:
-        """Whether the failure process contributes events at all."""
-        return self.failures is not None and not self.failures.is_null
-
-    @property
-    def _base_objective(self) -> str:
-        """The makespan statistic underlying :attr:`risk_objective`."""
-        if self.risk_objective in TTRAIN_OBJECTIVES:
-            return ttrain_objective_base(self.risk_objective)
-        return self.risk_objective
-
-    @property
-    def _ttrain_scoring(self) -> bool:
-        """Whether candidates compete on failure-adjusted time-to-train."""
-        return self._failures_active and self.risk_objective in TTRAIN_OBJECTIVES
+        self.config = replace(config, **overrides)
 
     # ------------------------------------------------------------- subclass API
     @property
@@ -823,22 +660,9 @@ class TrainingSystem(ABC):
         """Evaluate one strategy: memory feasibility and iteration time."""
 
     # --------------------------------------------------------------- public API
-    def run(self, workload: Workload, schedule: Optional[Union[ScheduleKind, str]] = None) -> TrainingReport:
-        """Search the strategy space and report the best achievable efficiency.
-
-        Args:
-            schedule: pipeline schedule to use for this run only (overrides
-                the schedule the system was constructed with).
-        """
-        if schedule is not None:
-            if isinstance(schedule, str) and schedule != "auto":
-                schedule = ScheduleKind.from_name(schedule)
-            previous = self.pipeline_schedule
-            self.pipeline_schedule = schedule
-            try:
-                return self.run(workload)
-            finally:
-                self.pipeline_schedule = previous
+    def run(self, workload: Workload) -> TrainingReport:
+        """Search the strategy space and report the best achievable efficiency."""
+        config = self.config
         model = workload.model
         cluster = workload.cluster()
         candidates = enumerate_strategies(
@@ -854,7 +678,7 @@ class TrainingSystem(ABC):
             return evaluation.feasible, evaluation.iteration_time_s, evaluation.reason
 
         strategy_bound = None
-        if self.prune_strategy_search:
+        if config.prune_strategy_search:
             def strategy_bound(parallel: ParallelismConfig) -> float:
                 return self.strategy_lower_bound(workload, parallel)
 
@@ -907,7 +731,7 @@ class TrainingSystem(ABC):
         if evaluation.distribution is not None:
             dist = evaluation.distribution
             notes.append(
-                f"risk objective: {self.risk_objective} over {dist.replicas} "
+                f"risk objective: {config.risk_objective} over {dist.replicas} "
                 f"replicas (seed {dist.seed}, jitter {dist.spec.describe()}); "
                 f"p50 {dist.p50_s:.2f}s / p95 {dist.p95_s:.2f}s / "
                 f"p99 {dist.p99_s:.2f}s"
@@ -916,8 +740,8 @@ class TrainingSystem(ABC):
             ttd = evaluation.time_to_train
             interval = ttd.checkpoint_interval_s
             notes.append(
-                f"failure process: {self.failures.describe()}; recovery: "
-                f"{self.recovery.describe()} (checkpoint interval "
+                f"failure process: {config.failures.describe()}; recovery: "
+                f"{config.recovery.describe()} (checkpoint interval "
                 f"{'inf' if interval == float('inf') else f'{interval:.0f}s'}); "
                 f"time-to-train over {ttd.target_iterations} iterations: "
                 f"mean {ttd.mean_s:.1f}s / p99 {ttd.p99_s:.1f}s, "
@@ -938,11 +762,11 @@ class TrainingSystem(ABC):
                 f"{stats.strategies_pruned} pruned by the analytic floor"
             )
         stability: Optional[SelectionStability] = None
-        if self.stability_replicas > 0 and not self._in_stability_sweep:
+        if config.stability_replicas > 0:
             stability = self.strategy_selection_stability(
                 workload,
-                replicas=self.stability_replicas,
-                base_seed=self.monte_carlo_seed,
+                replicas=config.stability_replicas,
+                base_seed=config.monte_carlo_seed,
             )
             notes.append(
                 f"selection stability: {stability.stability:.0%} of "
@@ -980,7 +804,7 @@ class TrainingSystem(ABC):
     ) -> "SelectionStability":
         """How stable the selected strategy is across independent jitter seeds.
 
-        Runs one *deterministic* search (jitter temporarily disabled) to pin
+        Runs one *deterministic* search (jitter and failures off) to pin
         the baseline argmax, then one full risk-adjusted search per replica
         with the Monte-Carlo seed varied (``base_seed + replica``), and
         reports the fraction of draws that keep the baseline winner.  A
@@ -996,25 +820,19 @@ class TrainingSystem(ABC):
         """
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        saved_jitter, saved_seed = self.jitter, self.monte_carlo_seed
-        saved_failures, saved_sweep = self.failures, self._in_stability_sweep
-        selections: List[Optional[ParallelismConfig]] = []
-        try:
-            # Guard against recursion: the per-seed runs below must not
-            # trigger the ``stability_replicas`` sweep of :meth:`run` again.
-            self._in_stability_sweep = True
-            with deduplicated_degenerate_warnings():
-                self.jitter = None
-                self.failures = None
-                baseline = self.run(workload).parallel
-                self.jitter = saved_jitter
-                self.failures = saved_failures
-                for replica in range(replicas):
-                    self.monte_carlo_seed = base_seed + replica
-                    selections.append(self.run(workload).parallel)
-        finally:
-            self.jitter, self.monte_carlo_seed = saved_jitter, saved_seed
-            self.failures, self._in_stability_sweep = saved_failures, saved_sweep
+
+        def selected(**changes) -> Optional[ParallelismConfig]:
+            # A copy searches with the derived config (and no stability sweep
+            # of its own); this system is left untouched.
+            system = copy.copy(self)
+            system.config = replace(self.config, stability_replicas=0, **changes)
+            return system.run(workload).parallel
+
+        with deduplicated_degenerate_warnings():
+            baseline = selected(jitter=None, failures=None)
+            selections = [
+                selected(monte_carlo_seed=base_seed + replica) for replica in range(replicas)
+            ]
         return SelectionStability(baseline=baseline, selections=selections)
 
     def max_sequence_length(
@@ -1191,6 +1009,7 @@ class TrainingSystem(ABC):
         """
         model = workload.model
         cluster = workload.cluster()
+        config = self.config
         overhead = (
             self.activation_overhead_factor
             if activation_overhead_factor is None
@@ -1303,11 +1122,11 @@ class TrainingSystem(ABC):
                     stage_costs_for(shape),
                     p2p_bandwidth_bytes_per_s=p2p_bandwidth,
                     pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-                    engine=self.pipeline_engine,
-                    validate=self.validate_pipeline,
+                    engine=config.pipeline_engine,
+                    validate=config.validate_pipeline,
                 )
                 compute_time = pipeline_timeline.total_s
-                if self._monte_carlo_active:
+                if config.monte_carlo_active:
                     # Risk-adjusted scoring: replicate the schedule under
                     # seeded perturbations and let candidates compete on the
                     # configured makespan statistic.  Every draw's makespan
@@ -1317,16 +1136,16 @@ class TrainingSystem(ABC):
                     distribution = monte_carlo_timeline(
                         pipeline_schedule,
                         stage_costs_for(shape),
-                        self.jitter,
-                        replicas=self.monte_carlo_replicas,
-                        seed=self.monte_carlo_seed,
+                        config.jitter,
+                        replicas=config.monte_carlo_replicas,
+                        seed=config.monte_carlo_seed,
                         p2p_bandwidth_bytes_per_s=p2p_bandwidth,
                         pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-                        validate=self.validate_pipeline,
-                        ci_halfwidth=self.monte_carlo_ci_halfwidth,
-                        objective=self._base_objective,
+                        validate=config.validate_pipeline,
+                        ci_halfwidth=config.monte_carlo_ci_halfwidth,
+                        objective=config.base_objective,
                     )
-                    compute_time = distribution.score(self._base_objective)
+                    compute_time = distribution.score(config.base_objective)
             else:
                 # Jitter models pipeline-execution noise; a PP=1 point has no
                 # schedule to perturb and keeps its deterministic estimate.
@@ -1334,7 +1153,7 @@ class TrainingSystem(ABC):
                 compute_time = micro_iterations * timeline.total_s / max(1.0 - bubble, 1e-9)
             iteration_time = compute_time + per_iteration_serial
             time_to_train: Optional[TimeToTrainDistribution] = None
-            if self._failures_active:
+            if config.failures_active:
                 # Walk the checkpoint-restart process over the candidate's
                 # iteration time (per-replica jittered makespans when jitter
                 # is active, the deterministic estimate otherwise -- serial
@@ -1346,25 +1165,22 @@ class TrainingSystem(ABC):
                 )
                 time_to_train = simulate_time_to_train(
                     iteration_samples,
-                    self.target_iterations,
-                    self.failures,
-                    self.recovery,
+                    config.target_iterations,
+                    config.failures,
+                    config.recovery,
                     num_ranks=workload.num_gpus,
-                    replicas=self.monte_carlo_replicas,
-                    seed=self.monte_carlo_seed,
+                    replicas=config.monte_carlo_replicas,
+                    seed=config.monte_carlo_seed,
                     gpus_per_node=cluster.node.gpus_per_node,
-                    ci_halfwidth=self.monte_carlo_ci_halfwidth,
-                    objective=(
-                        self.risk_objective if self._ttrain_scoring
-                        else "ttrain_" + self.risk_objective
-                    ),
+                    ci_halfwidth=config.monte_carlo_ci_halfwidth,
+                    objective=config.ttrain_objective,
                 )
-                if self._ttrain_scoring:
+                if config.ttrain_scoring:
                     # Failure-adjusted selection: the effective per-iteration
                     # time.  Every walk sample is >= the ideal time, so this
                     # is >= the failure-free iteration time and both pruning
                     # floors stay conservative.
-                    iteration_time = time_to_train.score(self.risk_objective)
+                    iteration_time = time_to_train.score(config.risk_objective)
             return StrategyEvaluation(
                 feasible=True,
                 iteration_time_s=iteration_time,
@@ -1380,16 +1196,16 @@ class TrainingSystem(ABC):
             )
 
         candidates: List[Tuple[Optional[ScheduleKind], Optional[Tuple[ScheduleKind, int, int, int]]]] = [(None, None)]
-        if parallel.pipeline_parallel > 1 and self.pipeline_schedule is not None:
-            auto = self.pipeline_schedule == "auto"
+        if parallel.pipeline_parallel > 1 and config.pipeline_schedule is not None:
+            auto = config.pipeline_schedule == "auto"
             # The auto sweep tries *real* interleaving even when the system
             # was constructed with the default single chunk; num_layers caps
             # the chunk count so every virtual stage holds at least one layer.
             candidates = schedule_candidates(
                 parallel,
-                PIPELINE_SCHEDULE_CANDIDATES if auto else (self.pipeline_schedule,),
+                PIPELINE_SCHEDULE_CANDIDATES if auto else (config.pipeline_schedule,),
                 micro_iterations,
-                max(self.pipeline_chunks, 2) if auto else self.pipeline_chunks,
+                max(config.pipeline_chunks, 2) if auto else config.pipeline_chunks,
                 num_layers=model.num_layers,
             )
 
@@ -1417,7 +1233,7 @@ class TrainingSystem(ABC):
             pipeline_lower_bound_for_shape(
                 *shape, stage_costs_for(shape), p2p_bandwidth_bytes_per_s=p2p_bandwidth,
             )
-            if self.prune_schedule_sweep and shape is not None else None
+            if config.prune_schedule_sweep and shape is not None else None
             for _, shape in candidates
         ]
         # A candidate's iteration time is its schedule time plus serial

@@ -569,14 +569,14 @@ class TestSystemsIntegration:
         assert legacy.feasible
         assert legacy.pipeline is None
 
-    def test_run_accepts_a_schedule_override(self):
+    def test_schedule_is_chosen_at_construction(self):
         system = MegatronSystem()
         workload = Workload("7B", tokens(64), 8)
-        report = system.run(workload, schedule="gpipe")
+        report = MegatronSystem(pipeline_schedule="gpipe").run(workload)
         assert report.feasible
-        # The override is transient: the system's default schedule survives.
-        assert system.pipeline_schedule is ScheduleKind.ONE_F_ONE_B
+        # Another system's schedule leaves the default system's untouched.
+        assert system.config.pipeline_schedule is ScheduleKind.ONE_F_ONE_B
 
     def test_schedule_name_parsed_in_constructor(self):
         system = MegatronSystem(pipeline_schedule="interleaved", pipeline_chunks=2)
-        assert system.pipeline_schedule is ScheduleKind.INTERLEAVED
+        assert system.config.pipeline_schedule is ScheduleKind.INTERLEAVED

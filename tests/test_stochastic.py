@@ -650,9 +650,9 @@ class TestSelectionStability:
 
         class SeedSensitiveSystem(MemoSystem):
             def run(self, workload):
-                if self.jitter is None and self.failures is None:
+                if self.config.jitter is None and self.config.failures is None:
                     return SimpleNamespace(parallel=baseline_choice)
-                choice = (baseline_choice if self.monte_carlo_seed % 2 == 0
+                choice = (baseline_choice if self.config.monte_carlo_seed % 2 == 0
                           else flipped_choice)
                 return SimpleNamespace(parallel=choice)
 
@@ -666,9 +666,9 @@ class TestSelectionStability:
             baseline_choice, flipped_choice, baseline_choice, flipped_choice,
         )
         assert stability.stability == 0.5
-        # The sweep restores the system's own seed and jitter afterwards.
-        assert system.monte_carlo_seed == 0
-        assert system.jitter is not None
+        # The sweep runs on copies: the system keeps its own seed and jitter.
+        assert system.config.monte_carlo_seed == 0
+        assert system.config.jitter is not None
 
     def test_cross_seed_sweep_is_bit_identical_across_processes(self):
         """The whole stability sweep -- baseline plus per-seed searches --

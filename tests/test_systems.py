@@ -332,8 +332,8 @@ class TestMonteCarloSeedValidation:
             MegatronSystem(monte_carlo_seed=seed)
 
     def test_system_accepts_non_negative_int_seed(self):
-        assert MegatronSystem(monte_carlo_seed=0).monte_carlo_seed == 0
-        assert MegatronSystem(monte_carlo_seed=7).monte_carlo_seed == 7
+        assert MegatronSystem(monte_carlo_seed=0).config.monte_carlo_seed == 0
+        assert MegatronSystem(monte_carlo_seed=7).config.monte_carlo_seed == 7
 
     @pytest.mark.parametrize("search", [
         {"seed": -1}, {"seed": "x"}, {"seed": 1.5},
@@ -366,7 +366,8 @@ class TestCountSettingValidation:
     def test_system_accepts_int_counts(self):
         system = MegatronSystem(target_iterations=1000, monte_carlo_replicas=2,
                                 stability_replicas=0, monte_carlo_ci_halfwidth=0.0)
-        assert (system.target_iterations, system.monte_carlo_replicas) == (1000, 2)
+        assert (system.config.target_iterations,
+                system.config.monte_carlo_replicas) == (1000, 2)
 
     @pytest.mark.parametrize("search", [
         {"target_iterations": 1000.5}, {"target_iterations": "1000"},
