@@ -133,6 +133,12 @@ class TestCli:
         ["sim-pipeline", "--jitter", "0.05", "--seed", "-1"],
         ["sim-pipeline", "--jitter", "0.05", "--ci-halfwidth", "nan"],
         ["sim-pipeline", "--replicas", "0"],
+        ["estimate", "--gpus", "0"],
+        ["estimate", "--seqlen-k", "0"],
+        ["sim-pipeline", "--tp", "0"],
+        ["sim-pipeline", "--pp", "0"],
+        ["sim-pipeline", "--chunks", "0"],
+        ["sim-pipeline", "--micro-batches", "0"],
     ], ids=" ".join)
     def test_bad_search_flag_is_a_one_line_usage_error(self, argv, capsys):
         assert main(argv) == 2
@@ -140,6 +146,16 @@ class TestCli:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("failures", [[], ["--mtbf", "43200"]], ids=["plain", "mtbf"])
+    def test_sim_pipeline_null_jitter_prints_the_deterministic_run(self, failures, capsys):
+        argv = ["sim-pipeline", "--model", "7B", "--gpus", "8", "--seqlen-k", "64",
+                "--pp", "4", "--tp", "2", "--micro-batches", "8", "--schedule", "zb-h1",
+                *failures]
+        assert main(argv) == 0
+        deterministic = capsys.readouterr().out
+        assert main(argv + ["--jitter", "0"]) == 0
+        assert capsys.readouterr().out == deterministic
 
 
 GOLDEN = Path(__file__).parent / "golden"
