@@ -72,8 +72,8 @@ def simulate_case(parallel, execution, memory, p2p_bytes, kind, chunks, micro_ba
         parallel, kind, micro_batches, chunks, num_layers=workload.model.num_layers,
     )
     per_mb = memory.skeletal_activation_bytes + memory.rounding_buffer_bytes
-    costs = execution.pipeline_stage_costs(
-        schedule, workload.sequence_length,
+    costs = execution.stage_costs_for_shape(
+        schedule.num_virtual_stages, schedule.kind.splits_backward, workload.sequence_length,
         activation_bytes_per_micro_batch=per_mb,
         p2p_bytes=p2p_bytes,
     )

@@ -24,23 +24,28 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.config import GiB, tokens
 from repro.core.framework import MemoFramework
 from repro.parallel.comm_model import pipeline_p2p_bytes_per_micro_batch
-from repro.parallel.memory_model import estimate_memory
-from repro.parallel.search import PIPELINE_ENGINES, SearchConfig, resolve_schedule
+from repro.parallel.search import (
+    PIPELINE_ENGINES,
+    SearchConfig,
+    build_candidate_schedule,
+    resolve_schedule_shape,
+    score_candidate,
+)
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
-from repro.sim.fastpath import evaluate_schedule, wave_ratio_from_costs
 from repro.sim.pipeline import (
     StageCosts,
     stage_costs_from_iteration,
     stage_peak_memory,
 )
-from repro.sim.failures import FailureSpec, TTRAIN_OBJECTIVES, simulate_time_to_train
+from repro.sim.failures import FailureSpec, TTRAIN_OBJECTIVES
 from repro.sim.schedules import ScheduleKind
-from repro.sim.stochastic import RISK_OBJECTIVES, monte_carlo_timeline
+from repro.sim.stochastic import RISK_OBJECTIVES
 from repro.experiments.figure1 import crossover_sequence_length_k, run_figure1a, run_figure1b
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure11 import max_loss_divergence, run_figure11a, run_figure11d
@@ -69,7 +74,7 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
                         help="seeded perturbation spec for Monte-Carlo robustness "
                              "scoring: a bare sigma ('0.05') or "
                              "'compute=S,link=S,swap=S,straggler=P[:ALPHA]'; '0' "
-                             "disables (every draw equals the deterministic run)")
+                             "disables")
     parser.add_argument("--replicas", type=int,
                         default=SearchConfig.monte_carlo_replicas,
                         help="Monte-Carlo draws per candidate")
@@ -266,7 +271,11 @@ def _command_estimate(args) -> int:
     config = _search_config(args, stability_replicas=args.stability_replicas)
     if config is None:
         return 2
-    workload = Workload(args.model, tokens(args.seqlen_k), args.gpus)
+    try:
+        workload = Workload(args.model, tokens(args.seqlen_k), args.gpus)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"Workload: {args.model} GPT, {args.seqlen_k}K tokens, {args.gpus} GPUs, "
           f"global batch {workload.global_batch_samples} sequences")
     if config.failures_active:
@@ -360,41 +369,30 @@ def _validate_stage_costs(costs) -> Optional[str]:
 
 
 def _command_sim_pipeline(args) -> int:
-    for name in ("gpus", "pp", "tp", "cp", "micro_batches", "chunks", "seqlen_k"):
-        value = getattr(args, name)
-        if value < 1:
-            print(f"error: --{name.replace('_', '-')} must be a positive integer "
-                  f"(got {value})", file=sys.stderr)
-            return 2
-    model_parallel = args.tp * args.cp * args.pp
-    if args.gpus % model_parallel != 0:
-        print(f"error: TP x CP x PP ({model_parallel}) must divide --gpus ({args.gpus})",
-              file=sys.stderr)
-        return 2
-    config = _search_config(args, pipeline_engine=args.engine,
+    config = _search_config(args, pipeline_chunks=args.chunks, pipeline_engine=args.engine,
                             validate_pipeline=args.validate)
     if config is None:
         return 2
-    parallel = ParallelismConfig(
-        tensor_parallel=args.tp,
-        context_parallel=args.cp,
-        pipeline_parallel=args.pp,
-        data_parallel=args.gpus // model_parallel,
-        recompute=RecomputeMode(args.recompute),
-        offload=OffloadMode(args.offload),
-        micro_batches=args.micro_batches,
-    )
-    workload = Workload(args.model, tokens(args.seqlen_k), args.gpus)
-    system = MemoSystem()
-    execution = system.stage_execution(workload, parallel)
-    memory = estimate_memory(
-        model=workload.model,
-        cluster=workload.cluster(),
-        parallel=parallel,
-        sequence_length=workload.sequence_length,
-        batch_size=workload.micro_batch_size,
-        offload_alpha=execution.effective_alpha or 0.0,
-    )
+    try:
+        workload = Workload(args.model, tokens(args.seqlen_k), args.gpus)
+        # One replica until the degrees are known to be valid divisors.
+        parallel = ParallelismConfig(
+            tensor_parallel=args.tp,
+            context_parallel=args.cp,
+            pipeline_parallel=args.pp,
+            recompute=RecomputeMode(args.recompute),
+            offload=OffloadMode(args.offload),
+            micro_batches=args.micro_batches,
+        )
+        model_parallel = args.tp * args.cp * args.pp
+        if args.gpus % model_parallel != 0:
+            raise ValueError(f"TP x CP x PP ({model_parallel}) must divide --gpus ({args.gpus})")
+        parallel = replace(parallel, data_parallel=args.gpus // model_parallel)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    execution = MemoSystem().stage_execution(workload, parallel)
+    memory = execution.base_memory
     p2p_bytes = pipeline_p2p_bytes_per_micro_batch(
         workload.model, parallel, workload.sequence_length, workload.micro_batch_size,
     )
@@ -412,20 +410,21 @@ def _command_sim_pipeline(args) -> int:
 
     per_mb_activation = memory.skeletal_activation_bytes + memory.rounding_buffer_bytes
 
-    def stage_costs_for(schedule):
+    def stage_costs_for(shape):
+        kind, stages, _, chunks = shape
         if args.uniform_stages:
             return stage_costs_from_iteration(
                 execution.timeline,
                 p2p_bytes=p2p_bytes,
-                num_chunks=schedule.num_chunks,
+                num_chunks=chunks,
                 activation_bytes=per_mb_activation,
                 backward_weight_fraction=(
                     execution.layer_costs.backward_weight_share
-                    if schedule.kind.splits_backward else None
+                    if kind.splits_backward else None
                 ),
             )
-        return execution.pipeline_stage_costs(
-            schedule, workload.sequence_length,
+        return execution.stage_costs_for_shape(
+            stages * chunks, kind.splits_backward, workload.sequence_length,
             activation_bytes_per_micro_batch=per_mb_activation,
             p2p_bytes=p2p_bytes,
         )
@@ -434,30 +433,21 @@ def _command_sim_pipeline(args) -> int:
              if args.schedule == "all" else [args.schedule])
 
     def resolve_named(name):
-        """Resolve one schedule name, or (None, reason) when unsatisfiable."""
+        """One named schedule's shape, or (None, reason) when unsatisfiable."""
         kind = ScheduleKind.from_name(name)
-        # --chunks tunes interleaving only; zb-v's chunk count is structural
-        # (always two V-placed chunks) and must not inherit the request.
-        chunks = args.chunks if kind is ScheduleKind.INTERLEAVED else 1
         try:
-            # num_layers caps the chunks so every virtual chunk holds a layer
-            # (and rejects a V placement the layer budget cannot satisfy).
-            schedule = resolve_schedule(
-                parallel, kind, args.micro_batches, chunks,
+            # --chunks tunes interleaving only; zb-v's chunk count is
+            # structural.  num_layers caps the chunks so every virtual chunk
+            # holds a layer (and rejects a V placement the layer budget
+            # cannot satisfy).
+            shape = resolve_schedule_shape(
+                parallel, kind, args.micro_batches,
+                config.pipeline_chunks if kind is ScheduleKind.INTERLEAVED else 1,
                 num_layers=workload.model.num_layers,
             )
         except ValueError as error:
             return None, str(error)
-        if kind is ScheduleKind.ZB_V and schedule.kind is ScheduleKind.ZB_V:
-            # ZB-V's wavefront order depends on the candidate's real
-            # F : B_input : W ratio; costs depend only on the chunk count,
-            # so deriving the ratio from the ratio-less build is sound.
-            ratio = wave_ratio_from_costs(stage_costs_for(schedule))
-            schedule = resolve_schedule(
-                parallel, kind, args.micro_batches, chunks,
-                num_layers=workload.model.num_layers, wave_ratio=ratio,
-            )
-        return schedule, None
+        return shape, None
 
     if not args.uniform_stages:
         profile = execution.cost_model.stage_cost_profile(
@@ -465,9 +455,8 @@ def _command_sim_pipeline(args) -> int:
         )
         # The table shows the B/W split, so lower via the split-backward
         # ZB-H1 schedule; fused schedules see the same forward/backward sums.
-        costs = execution.pipeline_stage_costs(
-            resolve_schedule(parallel, ScheduleKind.ZB_H1, args.micro_batches),
-            workload.sequence_length,
+        costs = execution.stage_costs_for_shape(
+            args.pp, ScheduleKind.ZB_H1.splits_backward, workload.sequence_length,
             activation_bytes_per_micro_batch=per_mb_activation,
         )
         print(f"\nPer-stage costs (uneven partition of {profile.total_layers} layers; "
@@ -484,14 +473,15 @@ def _command_sim_pipeline(args) -> int:
                   f"{stage.activation_bytes / GiB:>7.2f} GiB")
 
         if "zb-v" in names:
-            v_schedule, v_reason = resolve_named("zb-v")
-            if v_schedule is not None:
+            v_shape, _ = resolve_named("zb-v")
+            if v_shape is not None:
+                v_schedule = build_candidate_schedule(v_shape, stage_costs_for)
                 v_profile = execution.cost_model.stage_cost_profile(
                     workload.sequence_length, v_schedule.num_virtual_stages,
                     layer_costs=execution.layer_costs,
                 )
-                v_costs = execution.pipeline_stage_costs(
-                    v_schedule, workload.sequence_length,
+                v_costs = execution.stage_costs_for_shape(
+                    v_schedule.num_virtual_stages, True, workload.sequence_length,
                     activation_bytes_per_micro_batch=per_mb_activation,
                 )
                 ranks = v_schedule.virtual_stage_ranks
@@ -523,24 +513,28 @@ def _command_sim_pipeline(args) -> int:
     distributions = []  # (label, MakespanDistribution) rows of the robustness table
     ttrains = []  # (label, TimeToTrainDistribution) rows of the failure table
     for name in names:
-        schedule, reason = resolve_named(name)
-        if schedule is None:
+        shape, reason = resolve_named(name)
+        if shape is None:
             if args.schedule != "all":
                 print(f"error: {reason}", file=sys.stderr)
                 return 2
             print(f"{name:<13} (skipped: {reason})")
             continue
-        costs = stage_costs_for(schedule)
+        schedule = build_candidate_schedule(shape, stage_costs_for)
+        costs = stage_costs_for(shape)
         cost_error = _validate_stage_costs(costs)
         if cost_error is not None:
             print(f"error: {name}: {cost_error}", file=sys.stderr)
             return 2
-        timeline = evaluate_schedule(
-            schedule, costs,
+        score = score_candidate(
+            config, schedule, costs,
             p2p_bandwidth_bytes_per_s=p2p_bandwidth,
             pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-            engine=config.pipeline_engine, validate=config.validate_pipeline,
+            serial_s=0.0,
+            num_ranks=args.gpus,
+            gpus_per_node=workload.cluster().node.gpus_per_node,
         )
+        timeline = score.timeline
         stages = stage_peak_memory(
             schedule, costs,
             base_bytes=memory.model_state_bytes,
@@ -552,29 +546,10 @@ def _command_sim_pipeline(args) -> int:
               f"{timeline.analytic_bubble_fraction:>9.3f} "
               f"{stages[0].total_bytes / GiB:>9.2f} GiB  "
               f"{timeline.rank_peak_in_flight}")
-        distribution = None
-        if config.jitter is not None:
-            distribution = monte_carlo_timeline(
-                schedule, costs, config.jitter,
-                replicas=config.monte_carlo_replicas, seed=config.monte_carlo_seed,
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth,
-                pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-                validate=config.validate_pipeline,
-                ci_halfwidth=config.monte_carlo_ci_halfwidth,
-                objective=config.base_objective,
-            )
-            distributions.append((label, distribution))
-        if config.failures_active:
-            iteration_samples = (distribution.samples if distribution is not None
-                                 else (timeline.total_s,))
-            ttrains.append((label, simulate_time_to_train(
-                iteration_samples, config.target_iterations, config.failures,
-                config.recovery, num_ranks=args.gpus,
-                replicas=config.monte_carlo_replicas, seed=config.monte_carlo_seed,
-                gpus_per_node=workload.cluster().node.gpus_per_node,
-                ci_halfwidth=config.monte_carlo_ci_halfwidth,
-                objective=config.ttrain_objective,
-            )))
+        if score.distribution is not None:
+            distributions.append((label, score.distribution))
+        if score.time_to_train is not None:
+            ttrains.append((label, score.time_to_train))
 
     if distributions:
         print(f"\nRobustness under jitter {config.jitter.describe()} "

@@ -31,6 +31,10 @@ Invariants of the pipeline-schedule scoring helpers:
   therefore never changes the selected strategy, only the work spent
   finding it.  Pruned/evaluated counts at both levels are observable
   through :class:`SearchStats`;
+* one scorer, :func:`score_candidate`, owns each candidate's scoring chain
+  (schedule evaluation, jitter draws, serial overhead, the failure walk and
+  the objective), and :func:`build_candidate_schedule` its ZB-V wave order;
+  the systems' schedule sweep and ``repro sim-pipeline`` both call them;
 * :func:`resolve_schedule` is total over the sweeps' inputs: interleaving
   falls back to plain 1F1B when its structural constraints (divisibility,
   chunk counts) do not hold, and the sweeps degrade ZB-V to ZB-H1 via
@@ -55,7 +59,8 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from typing import (
-    Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple, TypeVar, Union,
+    Callable, Iterable, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple, TypeVar,
+    Union,
 )
 
 from repro.config import require_count
@@ -74,13 +79,19 @@ from repro.sim.failures import (
     FailureSpec,
     RecoveryModel,
     TTRAIN_OBJECTIVES,
+    TimeToTrainDistribution,
     parse_failure_spec,
     parse_recovery_spec,
+    simulate_time_to_train,
     ttrain_objective_base,
 )
-from repro.sim.fastpath import cached_build_schedule
-from repro.sim.schedules import ScheduleKind, V_WAVE_CHUNKS, WaveRatio
-from repro.sim.stochastic import DEFAULT_REPLICAS, JitterSpec, RISK_OBJECTIVES, parse_jitter_spec
+from repro.sim.fastpath import cached_build_schedule, evaluate_schedule, wave_ratio_from_costs
+from repro.sim.pipeline import PipelineTimeline, StageCosts
+from repro.sim.schedules import PipelineSchedule, ScheduleKind, V_WAVE_CHUNKS, WaveRatio
+from repro.sim.stochastic import (
+    DEFAULT_REPLICAS, JitterSpec, MakespanDistribution, RISK_OBJECTIVES, monte_carlo_timeline,
+    parse_jitter_spec,
+)
 
 #: Schedule kinds a training system's strategy search may try for a PP
 #: candidate (GPipe is omitted: it is dominated by 1F1B on both time and
@@ -437,11 +448,6 @@ class ParetoFrontier:
 
     points: Tuple[ParetoPoint, ...]
 
-    @property
-    def time_optimal(self) -> Optional[ParetoPoint]:
-        """The fastest point -- by construction the search's argmax winner."""
-        return self.points[0] if self.points else None
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -678,6 +684,106 @@ def _sweep_rank(result: Scored, index: int) -> Tuple[bool, float, int]:
     return True, 0.0, index
 
 
+#: A resolved schedule shape, ``(kind, stages, micro_batches, chunks)``
+#: (:func:`resolve_schedule_shape`).
+Shape = Tuple[ScheduleKind, int, int, int]
+
+
+def build_candidate_schedule(
+    shape: Shape,
+    stage_costs: Callable[[Shape], Union[StageCosts, Sequence[StageCosts]]],
+) -> PipelineSchedule:
+    """Build a candidate's schedule, ordering a ZB-V wave by the candidate's costs.
+
+    ZB-V's wavefront order depends on the candidate's real F : B_input : W
+    durations (:func:`repro.sim.fastpath.wave_ratio_from_costs`); the costs
+    depend only on the shape, so ``stage_costs(shape)`` is asked for ZB-V
+    alone.  Block placements ignore the ratio.
+    """
+    ratio = wave_ratio_from_costs(stage_costs(shape)) if shape[0] is ScheduleKind.ZB_V else None
+    return cached_build_schedule(*shape, wave_ratio=ratio)
+
+
+class CandidateScore(NamedTuple):
+    """What :func:`score_candidate` reports for one candidate."""
+
+    #: The deterministic pipeline timeline; ``None`` for a PP=1 point.
+    timeline: Optional[PipelineTimeline]
+    #: The jittered makespans, when jitter is active.
+    distribution: Optional[MakespanDistribution]
+    #: The checkpoint-restart walk, when failures are active.
+    time_to_train: Optional[TimeToTrainDistribution]
+    #: The iteration time the candidate competes with.
+    score_s: float
+
+
+def score_candidate(
+    config: SearchConfig,
+    schedule: Union[PipelineSchedule, float],
+    stage_costs: Union[StageCosts, Sequence[StageCosts], None],
+    p2p_bandwidth_bytes_per_s: float,
+    pcie_bandwidth_bytes_per_s: float,
+    serial_s: float,
+    num_ranks: int,
+    gpus_per_node: int,
+) -> CandidateScore:
+    """Score one candidate under ``config``; the systems' schedule sweep and
+    ``repro sim-pipeline`` both run it.
+
+    In order: evaluate the schedule on its stage costs (a PP=1 point passes
+    its analytic compute seconds as ``schedule`` instead); under jitter,
+    replicate it with seeded perturbations and take the base objective's
+    statistic; add ``serial_s``, the per-iteration serial overhead
+    (``sim-pipeline`` passes ``0.0``, and ``s + 0.0 == s`` for ``s >= 0``);
+    under failures, walk the checkpoint-restart process over each draw's
+    iteration time and, under a ``ttrain_*`` objective, score the walk.
+    Every jitter multiplier is >= 1 and every walk sample >= the ideal time,
+    so the score never falls below the deterministic iteration time and both
+    pruning floors stay conservative under any objective.
+    """
+    timeline = distribution = time_to_train = None
+    compute_s = schedule
+    if isinstance(schedule, PipelineSchedule):
+        timeline = evaluate_schedule(
+            schedule, stage_costs,
+            p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
+            pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
+            engine=config.pipeline_engine,
+            validate=config.validate_pipeline,
+        )
+        compute_s = timeline.total_s
+        if config.monte_carlo_active:
+            distribution = monte_carlo_timeline(
+                schedule, stage_costs, config.jitter,
+                replicas=config.monte_carlo_replicas,
+                seed=config.monte_carlo_seed,
+                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
+                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
+                validate=config.validate_pipeline,
+                ci_halfwidth=config.monte_carlo_ci_halfwidth,
+                objective=config.base_objective,
+            )
+            compute_s = distribution.score(config.base_objective)
+    score_s = compute_s + serial_s
+    if config.failures_active:
+        time_to_train = simulate_time_to_train(
+            tuple(s + serial_s for s in distribution.samples)
+            if distribution is not None else (score_s,),
+            config.target_iterations,
+            config.failures,
+            config.recovery,
+            num_ranks=num_ranks,
+            replicas=config.monte_carlo_replicas,
+            seed=config.monte_carlo_seed,
+            gpus_per_node=gpus_per_node,
+            ci_halfwidth=config.monte_carlo_ci_halfwidth,
+            objective=config.ttrain_objective,
+        )
+        if config.ttrain_scoring:
+            score_s = time_to_train.score(config.risk_objective)
+    return CandidateScore(timeline, distribution, time_to_train, score_s)
+
+
 def enumerate_strategies(
     space: StrategySearchSpace,
     model: ModelConfig,
@@ -758,7 +864,7 @@ def resolve_schedule_shape(
     num_micro_batches: Optional[int] = None,
     num_chunks: int = 1,
     num_layers: Optional[int] = None,
-) -> Tuple[ScheduleKind, int, int, int]:
+) -> Shape:
     """The ``(kind, stages, micro_batches, chunks)`` a PP candidate would run.
 
     Applies the same fallbacks as :func:`resolve_schedule` without building
@@ -804,7 +910,7 @@ def schedule_candidates(
     num_micro_batches: Optional[int] = None,
     num_chunks: int = 1,
     num_layers: Optional[int] = None,
-) -> List[Tuple[ScheduleKind, Tuple[ScheduleKind, int, int, int]]]:
+) -> List[Tuple[ScheduleKind, Shape]]:
     """The ``(requested kind, resolved shape)`` pairs a schedule sweep evaluates.
 
     Each kind is first degraded with :func:`viable_schedule_kind` (the sweep

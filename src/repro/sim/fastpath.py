@@ -883,10 +883,12 @@ def evaluate_schedule(
 ) -> PipelineTimeline:
     """Evaluate a schedule with the fast path (memoized) or the event engine.
 
-    The single scoring entry point of the strategy search, the training
-    systems and the CLI.  ``engine="fast"`` (the default) runs the memoized
-    critical-path evaluator; ``engine="event"`` runs the discrete-event
-    simulator, always fresh -- the oracle must never be served from a cache.
+    The single scoring entry point, called by the candidate scorer
+    (:func:`repro.parallel.search.score_candidate`) that the training
+    systems and the CLI share.  ``engine="fast"`` (the default) runs the
+    memoized critical-path evaluator; ``engine="event"`` runs the
+    discrete-event simulator, always fresh -- the oracle must never be
+    served from a cache.
     ``validate=True`` runs both and raises :class:`FastPathMismatchError` on
     any divergence.
 

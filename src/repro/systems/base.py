@@ -52,33 +52,25 @@ from repro.parallel.search import (
     ParetoPoint,
     SearchConfig,
     SearchStats,
+    Shape,
     StrategySearchSpace,
+    build_candidate_schedule,
     deduplicated_degenerate_warnings,
     enumerate_strategies,
     find_best_strategy,
     pareto_frontier,
     pruned_sweep,
     schedule_candidates,
+    score_candidate,
 )
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.costs import CostModel, LayerCosts
 from repro.sim.executor import IterationTimeline, LayerTask, simulate_iteration
-from repro.sim.fastpath import (
-    LOWER_BOUND_SAFETY,
-    cached_build_schedule,
-    evaluate_schedule,
-    pipeline_lower_bound_for_shape,
-    wave_ratio_from_costs,
-)
-from repro.sim.pipeline import (
-    PipelineTimeline,
-    ZB_WEIGHT_STASH_FRACTION,
-    heterogeneous_stage_costs,
-    stage_costs_from_iteration,
-)
-from repro.sim.failures import TimeToTrainDistribution, simulate_time_to_train
+from repro.sim.fastpath import LOWER_BOUND_SAFETY, pipeline_lower_bound_for_shape
+from repro.sim.pipeline import PipelineTimeline, ZB_WEIGHT_STASH_FRACTION, heterogeneous_stage_costs
+from repro.sim.failures import TimeToTrainDistribution
 from repro.sim.schedules import PipelineSchedule, ScheduleKind
-from repro.sim.stochastic import MakespanDistribution, monte_carlo_timeline
+from repro.sim.stochastic import MakespanDistribution
 from repro.swap.schedule import SwapSchedule, build_swap_schedule
 from repro.systems.metrics import compute_mfu, compute_tgs, format_wall_clock
 
@@ -523,22 +515,6 @@ class StageExecution:
     def backward_s(self) -> float:
         """Per-micro-batch backward span (boundary compute included)."""
         return self.timeline.total_s - self.timeline.forward_end_s
-
-    def pipeline_stage_costs(
-        self,
-        schedule: PipelineSchedule,
-        sequence_length: int,
-        activation_bytes_per_micro_batch: float = 0.0,
-        p2p_bytes: float = 0.0,
-    ):
-        """:meth:`stage_costs_for_shape` of a built schedule."""
-        return self.stage_costs_for_shape(
-            schedule.num_virtual_stages,
-            schedule.kind.splits_backward,
-            sequence_length,
-            activation_bytes_per_micro_batch=activation_bytes_per_micro_batch,
-            p2p_bytes=p2p_bytes,
-        )
 
     def stage_costs_for_shape(
         self,
@@ -1063,7 +1039,7 @@ class TrainingSystem(ABC):
             )
             return reorganizations, serial
 
-        def stage_costs_for(shape: Tuple[ScheduleKind, int, int, int]):
+        def stage_costs_for(shape: Shape):
             # The stage's own swap traffic is already folded into the
             # per-layer spans by the single-stage executor, so the
             # offload/prefetch streams stay empty here -- passing the bytes
@@ -1080,20 +1056,12 @@ class TrainingSystem(ABC):
                 p2p_bytes=p2p_bytes,
             )
 
-        def wave_ratio_for(shape: Tuple[ScheduleKind, int, int, int]):
-            # ZB-V's wavefront order depends on the candidate's real
-            # F : B_input : W durations; block placements ignore the ratio.
-            if shape[0] is not ScheduleKind.ZB_V:
-                return None
-            return wave_ratio_from_costs(stage_costs_for(shape))
-
         def evaluate_with_schedule(
             schedule_kind: Optional[ScheduleKind],
-            shape: Optional[Tuple[ScheduleKind, int, int, int]],
+            shape: Optional[Shape],
         ) -> StrategyEvaluation:
             pipeline_schedule: Optional[PipelineSchedule] = (
-                cached_build_schedule(*shape, wave_ratio=wave_ratio_for(shape))
-                if shape is not None else None
+                build_candidate_schedule(shape, stage_costs_for) if shape is not None else None
             )
             memory = base_memory
             if pipeline_schedule is not None:
@@ -1111,91 +1079,36 @@ class TrainingSystem(ABC):
 
             timeline = execution.timeline
             reorganizations, per_iteration_serial = serial_overhead(memory)
-            pipeline_timeline: Optional[PipelineTimeline] = None
-            distribution: Optional[MakespanDistribution] = None
-            if pipeline_schedule is not None:
-                # Score the PP point with its simulated schedule (measured
-                # bubble, P2P transfers, heterogeneous stages) instead of the
-                # analytic (p - 1) / (m + p - 1) approximation.
-                pipeline_timeline = evaluate_schedule(
-                    pipeline_schedule,
-                    stage_costs_for(shape),
-                    p2p_bandwidth_bytes_per_s=p2p_bandwidth,
-                    pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-                    engine=config.pipeline_engine,
-                    validate=config.validate_pipeline,
-                )
-                compute_time = pipeline_timeline.total_s
-                if config.monte_carlo_active:
-                    # Risk-adjusted scoring: replicate the schedule under
-                    # seeded perturbations and let candidates compete on the
-                    # configured makespan statistic.  Every draw's makespan
-                    # is >= the deterministic one (multipliers >= 1), so the
-                    # schedule- and strategy-level pruning floors keep
-                    # under-estimating the reported time under any objective.
-                    distribution = monte_carlo_timeline(
-                        pipeline_schedule,
-                        stage_costs_for(shape),
-                        config.jitter,
-                        replicas=config.monte_carlo_replicas,
-                        seed=config.monte_carlo_seed,
-                        p2p_bandwidth_bytes_per_s=p2p_bandwidth,
-                        pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-                        validate=config.validate_pipeline,
-                        ci_halfwidth=config.monte_carlo_ci_halfwidth,
-                        objective=config.base_objective,
-                    )
-                    compute_time = distribution.score(config.base_objective)
+            if shape is not None:
+                work, costs = pipeline_schedule, stage_costs_for(shape)
             else:
-                # Jitter models pipeline-execution noise; a PP=1 point has no
-                # schedule to perturb and keeps its deterministic estimate.
+                # A PP=1 point has no schedule to simulate or perturb: the
+                # scorer takes its analytic compute time instead.
                 bubble = parallel.pipeline_bubble_lower_bound()
-                compute_time = micro_iterations * timeline.total_s / max(1.0 - bubble, 1e-9)
-            iteration_time = compute_time + per_iteration_serial
-            time_to_train: Optional[TimeToTrainDistribution] = None
-            if config.failures_active:
-                # Walk the checkpoint-restart process over the candidate's
-                # iteration time (per-replica jittered makespans when jitter
-                # is active, the deterministic estimate otherwise -- serial
-                # overhead included either way, it is paid every iteration).
-                iteration_samples = (
-                    tuple(s + per_iteration_serial for s in distribution.samples)
-                    if distribution is not None
-                    else (iteration_time,)
-                )
-                time_to_train = simulate_time_to_train(
-                    iteration_samples,
-                    config.target_iterations,
-                    config.failures,
-                    config.recovery,
-                    num_ranks=workload.num_gpus,
-                    replicas=config.monte_carlo_replicas,
-                    seed=config.monte_carlo_seed,
-                    gpus_per_node=cluster.node.gpus_per_node,
-                    ci_halfwidth=config.monte_carlo_ci_halfwidth,
-                    objective=config.ttrain_objective,
-                )
-                if config.ttrain_scoring:
-                    # Failure-adjusted selection: the effective per-iteration
-                    # time.  Every walk sample is >= the ideal time, so this
-                    # is >= the failure-free iteration time and both pruning
-                    # floors stay conservative.
-                    iteration_time = time_to_train.score(config.risk_objective)
+                work, costs = micro_iterations * timeline.total_s / max(1.0 - bubble, 1e-9), None
+            score = score_candidate(
+                config, work, costs,
+                p2p_bandwidth_bytes_per_s=p2p_bandwidth,
+                pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
+                serial_s=per_iteration_serial,
+                num_ranks=workload.num_gpus,
+                gpus_per_node=cluster.node.gpus_per_node,
+            )
             return StrategyEvaluation(
                 feasible=True,
-                iteration_time_s=iteration_time,
+                iteration_time_s=score.score_s,
                 reason=None,
                 memory=memory,
                 timeline=timeline,
-                pipeline=pipeline_timeline,
+                pipeline=score.timeline,
                 alpha=effective_alpha,
                 reorganizations=reorganizations,
                 schedule_kind=schedule_kind,
-                distribution=distribution,
-                time_to_train=time_to_train,
+                distribution=score.distribution,
+                time_to_train=score.time_to_train,
             )
 
-        candidates: List[Tuple[Optional[ScheduleKind], Optional[Tuple[ScheduleKind, int, int, int]]]] = [(None, None)]
+        candidates: List[Tuple[Optional[ScheduleKind], Optional[Shape]]] = [(None, None)]
         if parallel.pipeline_parallel > 1 and config.pipeline_schedule is not None:
             auto = config.pipeline_schedule == "auto"
             # The auto sweep tries *real* interleaving even when the system

@@ -5,6 +5,7 @@ import functools
 
 import pytest
 
+import repro.parallel.search as search
 import repro.systems.base as base
 from repro.config import tokens
 from repro.fleet.grid import GridSpecError, SearchSettings, WorkloadGrid, WorkloadPoint
@@ -315,8 +316,8 @@ class TestMemoryVerdictFirst:
                             counting("simulate", base.simulate_iteration))
         monkeypatch.setattr(base, "pipeline_lower_bound_for_shape",
                             counting("bound", base.pipeline_lower_bound_for_shape))
-        monkeypatch.setattr(base, "cached_build_schedule",
-                            counting("build", base.cached_build_schedule))
+        monkeypatch.setattr(search, "cached_build_schedule",
+                            counting("build", search.cached_build_schedule))
         system = MegatronSystem(pipeline_schedule="auto")
         parallel = ParallelismConfig(tensor_parallel=2, pipeline_parallel=2, micro_batches=8)
         evaluation = system.evaluate_strategy(Workload("7B", tokens(2048), 4, 8), parallel)
