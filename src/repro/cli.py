@@ -481,7 +481,8 @@ def _command_sim_pipeline(args) -> int:
                     layer_costs=execution.layer_costs,
                 )
                 v_costs = execution.stage_costs_for_shape(
-                    v_schedule.num_virtual_stages, True, workload.sequence_length,
+                    v_schedule.num_virtual_stages, v_schedule.kind.splits_backward,
+                    workload.sequence_length,
                     activation_bytes_per_micro_batch=per_mb_activation,
                 )
                 ranks = v_schedule.virtual_stage_ranks
