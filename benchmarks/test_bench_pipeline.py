@@ -25,9 +25,8 @@ Run with ``-s`` to see the tables; pytest-benchmark records the sweep time.
 from conftest import run_once
 
 from repro.config import GiB, tokens
-from repro.parallel.comm_model import pipeline_p2p_bytes_per_micro_batch
 from repro.parallel.memory_model import estimate_memory
-from repro.parallel.search import resolve_schedule
+from repro.parallel.search import build_candidate_schedule, resolve_schedule_shape
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.pipeline import simulate_pipeline, stage_peak_memory
 from repro.sim.schedules import ScheduleKind
@@ -60,27 +59,29 @@ def build_case(offload: OffloadMode, recompute: RecomputeMode, micro_batches: in
         sequence_length=workload.sequence_length, batch_size=workload.micro_batch_size,
         offload_alpha=execution.effective_alpha or 0.0,
     )
-    p2p_bytes = pipeline_p2p_bytes_per_micro_batch(
-        workload.model, parallel, workload.sequence_length,
-    )
-    return parallel, execution, memory, p2p_bytes
+    return parallel, execution, memory
 
 
-def simulate_case(parallel, execution, memory, p2p_bytes, kind, chunks, micro_batches):
+def simulate_case(parallel, execution, memory, kind, chunks, micro_batches):
     workload = Workload(MODEL, tokens(SEQLEN_K), GPUS)
-    schedule = resolve_schedule(
+    shape = resolve_schedule_shape(
         parallel, kind, micro_batches, chunks, num_layers=workload.model.num_layers,
     )
     per_mb = memory.skeletal_activation_bytes + memory.rounding_buffer_bytes
-    costs = execution.stage_costs_for_shape(
-        schedule.num_virtual_stages, schedule.kind.splits_backward, workload.sequence_length,
-        activation_bytes_per_micro_batch=per_mb,
-        p2p_bytes=p2p_bytes,
-    )
-    p2p_time = execution.cost_model.pipeline_p2p_time(p2p_bytes)
+
+    def stage_costs(shape):
+        kind, stages, _, chunks = shape
+        return execution.stage_costs_for_shape(
+            stages * chunks, kind.splits_backward, workload.sequence_length,
+            activation_bytes_per_micro_batch=per_mb,
+            p2p_bytes=execution.p2p_hop.bytes,
+        )
+
+    schedule = build_candidate_schedule(shape, stage_costs)
+    costs = stage_costs(shape)
     timeline = simulate_pipeline(
         schedule, costs,
-        p2p_bandwidth_bytes_per_s=p2p_bytes / p2p_time if p2p_time > 0 else float("inf"),
+        p2p_bandwidth_bytes_per_s=execution.p2p_hop.bandwidth_bytes_per_s,
         pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
     )
     stages = stage_peak_memory(
@@ -95,14 +96,14 @@ def test_smoke_pipeline_bubble_across_schedules(benchmark):
     """Measured bubble must track the analytic bound across the m-grid."""
 
     def sweep():
-        parallel, execution, memory, p2p = build_case(
+        parallel, execution, memory = build_case(
             OffloadMode.NONE, RecomputeMode.NONE, micro_batches=16,
         )
         rows = []
         for micro_batches in (4, 8, 16):
             for kind, chunks in SCHEDULES:
                 schedule, timeline, _ = simulate_case(
-                    parallel, execution, memory, p2p, kind, chunks, micro_batches,
+                    parallel, execution, memory, kind, chunks, micro_batches,
                 )
                 rows.append((kind.value, micro_batches, schedule, timeline))
         return rows
@@ -170,11 +171,11 @@ def test_smoke_pipeline_stage_memory(benchmark):
             ("resident", OffloadMode.NONE, RecomputeMode.NONE),
             ("token-wise swap", OffloadMode.TOKEN_WISE, RecomputeMode.TOKEN_WISE),
         ):
-            parallel, execution, memory, p2p = build_case(offload, recompute, 8)
+            parallel, execution, memory = build_case(offload, recompute, 8)
             per_schedule = {}
             for kind, chunks in SCHEDULES:
                 per_schedule[kind.value] = simulate_case(
-                    parallel, execution, memory, p2p, kind, chunks, 8,
+                    parallel, execution, memory, kind, chunks, 8,
                 )
             results[label] = (memory, per_schedule)
         return results

@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 
 from repro.config import GiB, tokens
 from repro.core.framework import MemoFramework
-from repro.parallel.comm_model import pipeline_p2p_bytes_per_micro_batch
 from repro.parallel.search import (
     PIPELINE_ENGINES,
     SearchConfig,
@@ -393,17 +392,14 @@ def _command_sim_pipeline(args) -> int:
         return 2
     execution = MemoSystem().stage_execution(workload, parallel)
     memory = execution.base_memory
-    p2p_bytes = pipeline_p2p_bytes_per_micro_batch(
-        workload.model, parallel, workload.sequence_length, workload.micro_batch_size,
-    )
-    p2p_time = execution.cost_model.pipeline_p2p_time(p2p_bytes)
+    hop = execution.p2p_hop
 
     print(f"Pipeline simulation: {args.model} GPT, {args.seqlen_k}K tokens, "
           f"{args.gpus} GPUs ({parallel.describe()})")
     print(f"  stages {args.pp}, micro-batches {args.micro_batches}, "
           f"per-stage forward {execution.forward_s * 1e3:.1f} ms, "
           f"backward {execution.backward_s * 1e3:.1f} ms, "
-          f"P2P hop {p2p_time * 1e3:.2f} ms")
+          f"P2P hop {hop.time_s * 1e3:.2f} ms")
     if execution.swap_schedule is not None:
         print(f"  swap schedule alpha {execution.swap_schedule.alpha:.3f}, "
               f"offload {execution.swap_schedule.total_offload_bytes / GiB:.2f} GiB/stage/micro-batch")
@@ -415,7 +411,7 @@ def _command_sim_pipeline(args) -> int:
         if args.uniform_stages:
             return stage_costs_from_iteration(
                 execution.timeline,
-                p2p_bytes=p2p_bytes,
+                p2p_bytes=hop.bytes,
                 num_chunks=chunks,
                 activation_bytes=per_mb_activation,
                 backward_weight_fraction=(
@@ -426,7 +422,7 @@ def _command_sim_pipeline(args) -> int:
         return execution.stage_costs_for_shape(
             stages * chunks, kind.splits_backward, workload.sequence_length,
             activation_bytes_per_micro_batch=per_mb_activation,
-            p2p_bytes=p2p_bytes,
+            p2p_bytes=hop.bytes,
         )
 
     names = (["gpipe", "1f1b", "interleaved", "zb-h1", "zb-v"]
@@ -510,7 +506,6 @@ def _command_sim_pipeline(args) -> int:
     print(header)
     print("-" * len(header))
 
-    p2p_bandwidth = p2p_bytes / p2p_time if p2p_time > 0 else float("inf")
     distributions = []  # (label, MakespanDistribution) rows of the robustness table
     ttrains = []  # (label, TimeToTrainDistribution) rows of the failure table
     for name in names:
@@ -529,7 +524,7 @@ def _command_sim_pipeline(args) -> int:
             return 2
         score = score_candidate(
             config, schedule, costs,
-            p2p_bandwidth_bytes_per_s=p2p_bandwidth,
+            p2p_bandwidth_bytes_per_s=hop.bandwidth_bytes_per_s,
             pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
             serial_s=0.0,
             num_ranks=args.gpus,

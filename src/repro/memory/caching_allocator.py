@@ -20,12 +20,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MiB
-from repro.memory.block import Segment
+from repro.memory.block import Block, Segment
 from repro.memory.request import MemoryRequest, RequestKind
 from repro.memory.snapshot import MemoryTimeline
+
+_OFFSET = attrgetter("offset")
 
 
 class OutOfMemoryError(RuntimeError):
@@ -110,54 +113,72 @@ class CachingAllocator:
         """Reserved-but-unallocated memory."""
         return self.reserved_bytes - self.allocated_bytes
 
-    def _rounded(self, size: int) -> int:
-        return -(-size // self.round_to_bytes) * self.round_to_bytes
-
     # ---------------------------------------------------------------- replay
     def replay(self, trace: Sequence[MemoryRequest]) -> AllocatorStats:
         """Replay a malloc/free trace, recording stats and the memory timeline."""
-        for request in trace:
-            if request.kind is RequestKind.MALLOC:
-                self.malloc(request.tensor_id, request.size)
+        malloc, free = self.malloc, self.free
+        for kind, tensor_id, size in trace:
+            if kind is RequestKind.MALLOC:
+                malloc(tensor_id, size)
             else:
-                self.free(request.tensor_id)
+                free(tensor_id)
         return self.stats
 
     # ---------------------------------------------------------------- malloc
     def malloc(self, tensor_id: str, size: int) -> None:
         """Allocate ``size`` bytes for ``tensor_id``.
 
+        The request is rounded up, placed at the start of the best-fitting
+        cached block (or of a new segment), and the block is split when
+        larger, leaving the remainder free.
+
         Raises:
-            ValueError: if ``size`` is not positive or the tensor is live.
+            ValueError: if ``size`` is not a positive int or the tensor is live.
             OutOfMemoryError: when no contiguous space can be found even after
                 releasing cached segments.
         """
+        if type(size) is not int:
+            raise ValueError(f"size must be an int, got {size!r}")
         if size <= 0:
             raise ValueError("size must be positive")
         if tensor_id in self._tensor_blocks:
             raise ValueError(f"tensor {tensor_id!r} is already allocated")
-        rounded = self._rounded(size)
-        self.stats.num_mallocs += 1
+        rounded = -(-size // self.round_to_bytes) * self.round_to_bytes
+        stats = self.stats
+        stats.num_mallocs += 1
 
-        placed = self._try_allocate(tensor_id, rounded)
-        if placed is None:
-            # Caching failed: reorganise (cudaFree all fully-free cached
-            # segments, i.e. PyTorch's "release cached blocks" path) and retry.
-            released = self._reorganize()
-            if released:
-                placed = self._try_allocate(tensor_id, rounded)
-        if placed is None:
-            self.stats.num_failed_allocations += 1
-            raise OutOfMemoryError(
-                f"cannot allocate {rounded} bytes for {tensor_id!r}: "
-                f"reserved={self.reserved_bytes}, allocated={self.allocated_bytes}, "
-                f"capacity={self.capacity_bytes}",
-                requested=rounded,
-                reserved=self.reserved_bytes,
-                allocated=self.allocated_bytes,
-            )
-        self._tensor_blocks[tensor_id] = (*placed, rounded)
-        self._record()
+        fit = self._take_best_fit(rounded)
+        if fit is None:
+            fit = self._grow(tensor_id, rounded)
+        _, position, offset = fit
+        segment = self.segments[position]
+        blocks = segment.blocks
+        # Blocks are in offset order from 0, so offset 0 (every new segment's
+        # block) is the first one.
+        index = bisect_left(blocks, offset, key=_OFFSET) if offset else 0
+        block = blocks[index]
+        if block.allocated:
+            raise ValueError("cannot allocate in an already-allocated block")
+        remainder = block.size - rounded
+        if remainder < 0:
+            raise ValueError("block too small for allocation")
+        block.allocated = True
+        block.tensor_id = tensor_id
+        if remainder:  # split: the remainder stays free
+            block.size = rounded
+            blocks.insert(index + 1, Block(offset + rounded, remainder))
+            insort(self._free_blocks, (remainder, position, offset + rounded))
+        segment.allocated_bytes += rounded
+        self._tensor_blocks[tensor_id] = (position, offset, rounded)
+
+        allocated = self._allocated_bytes = self._allocated_bytes + rounded
+        reserved = self._reserved_bytes
+        if allocated > stats.peak_allocated_bytes:
+            stats.peak_allocated_bytes = allocated
+        if reserved > stats.peak_reserved_bytes:
+            stats.peak_reserved_bytes = reserved
+        self.timeline.record(self._step, allocated, reserved)
+        self._step += 1
 
     def _take_best_fit(self, rounded: int) -> Optional[Tuple[int, int, int]]:
         """Unindex and return the free block that wastes least, ties to the first
@@ -175,29 +196,36 @@ class CachingAllocator:
             for block in segment.blocks if not block.allocated
         )
 
-    def _try_allocate(self, tensor_id: str, rounded: int) -> Optional[Tuple[int, int]]:
-        """Place a request in a cached block or a new segment: (position, offset)."""
-        # 1. best fit over cached free blocks of existing segments.
-        fit = self._take_best_fit(rounded)
-        if fit is None:
-            # 2. grow: cudaMalloc a new segment if the device has room.
-            segment_size = max(rounded, self.small_segment_bytes)
-            if rounded >= self.large_request_threshold:
-                segment_size = rounded
-            if self.reserved_bytes + segment_size > self.capacity_bytes:
-                return None
-            self.segments.append(Segment(start=self._next_segment_start, size=segment_size))
-            self._next_segment_start += segment_size
-            self._reserved_bytes += segment_size
-            self.stats.num_segment_allocations += 1
-            fit = (segment_size, len(self.segments) - 1, 0)
-        size, position, offset = fit
-        segment = self.segments[position]
-        segment.allocate_in_block(segment.block_at(offset), rounded, tensor_id)
-        if size > rounded:  # the split-off remainder stays free
-            insort(self._free_blocks, (size - rounded, position, offset + rounded))
-        self._allocated_bytes += rounded
-        return position, offset
+    def _grow(self, tensor_id: str, rounded: int) -> Tuple[int, int, int]:
+        """cudaMalloc a segment for a request no cached block fits and return
+        its one free block's entry.
+
+        When the device has no room, the allocator first reorganises
+        (cudaFree of every fully-free cached segment, PyTorch's "release
+        cached blocks" path); no cached block fits afterwards either, as
+        reorganising only drops fully-free segments.  Raises
+        :class:`OutOfMemoryError` when there is still no room.
+        """
+        segment_size = rounded if rounded >= self.large_request_threshold else max(
+            rounded, self.small_segment_bytes,
+        )
+        if self._reserved_bytes + segment_size > self.capacity_bytes and not (
+            self._reorganize() and self._reserved_bytes + segment_size <= self.capacity_bytes
+        ):
+            self.stats.num_failed_allocations += 1
+            raise OutOfMemoryError(
+                f"cannot allocate {rounded} bytes for {tensor_id!r}: "
+                f"reserved={self._reserved_bytes}, allocated={self._allocated_bytes}, "
+                f"capacity={self.capacity_bytes}",
+                requested=rounded,
+                reserved=self._reserved_bytes,
+                allocated=self._allocated_bytes,
+            )
+        self.segments.append(Segment(start=self._next_segment_start, size=segment_size))
+        self._next_segment_start += segment_size
+        self._reserved_bytes += segment_size
+        self.stats.num_segment_allocations += 1
+        return segment_size, len(self.segments) - 1, 0
 
     def _reorganize(self) -> int:
         """Release all fully-free cached segments back to the device.
@@ -228,27 +256,39 @@ class CachingAllocator:
 
     # ------------------------------------------------------------------ free
     def free(self, tensor_id: str) -> None:
-        """Release the memory backing ``tensor_id`` back to the block cache."""
+        """Release the memory backing ``tensor_id`` back to the block cache,
+        coalescing the run of free blocks around it into the run's first."""
         placed = self._tensor_blocks.pop(tensor_id, None)
         if placed is None:
             raise KeyError(f"tensor {tensor_id!r} is not allocated")
         position, offset, size = placed
-        run = self.segments[position].free_tensor(tensor_id, offset)
-        if run is None:
+        segment = self.segments[position]
+        blocks = segment.blocks
+        low = bisect_left(blocks, offset, key=_OFFSET) if offset else 0
+        if low == len(blocks) or blocks[low].tensor_id != tensor_id:
             raise KeyError(f"tensor {tensor_id!r} not found in its segment")
-        for block_size, block_offset in run:
-            if block_offset != offset:
-                self._unindex((block_size, position, block_offset))
-        insort(self._free_blocks, (sum(block_size for block_size, _ in run), position, run[0][1]))
-        self._allocated_bytes -= size
-        self.stats.num_frees += 1
-        self._record()
+        block = blocks[low]
+        block.allocated = False
+        block.tensor_id = None
+        segment.allocated_bytes -= size
+        run_size = size
+        high = low + 1
+        while high < len(blocks) and not blocks[high].allocated:
+            absorbed = blocks[high]
+            self._unindex((absorbed.size, position, absorbed.offset))
+            run_size += absorbed.size
+            high += 1
+        while low > 0 and not blocks[low - 1].allocated:
+            low -= 1
+            block = blocks[low]
+            self._unindex((block.size, position, block.offset))
+            run_size += block.size
+        block.size = run_size
+        del blocks[low + 1:high]
+        insort(self._free_blocks, (run_size, position, block.offset))
 
-    # -------------------------------------------------------------- recording
-    def _record(self) -> None:
-        allocated = self._allocated_bytes
-        reserved = self._reserved_bytes
-        self.stats.peak_allocated_bytes = max(self.stats.peak_allocated_bytes, allocated)
-        self.stats.peak_reserved_bytes = max(self.stats.peak_reserved_bytes, reserved)
-        self.timeline.record(self._step, allocated, reserved)
+        self.stats.num_frees += 1
+        allocated = self._allocated_bytes = self._allocated_bytes - size
+        # A free raises neither total, so neither peak.
+        self.timeline.record(self._step, allocated, self._reserved_bytes)
         self._step += 1

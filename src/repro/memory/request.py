@@ -17,6 +17,11 @@ class RequestKind(Enum):
     MALLOC = "malloc"
     FREE = "free"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # skips ``Enum.__hash__``'s Python-level call: hashing a trace tuple (the
+    # DSA problem memo's key) hashes every request's kind.
+    __hash__ = object.__hash__
+
 
 class MemoryRequest(NamedTuple("MemoryRequest", [("kind", RequestKind), ("tensor_id", str), ("size", int)])):
     """One allocator request.
@@ -30,6 +35,8 @@ class MemoryRequest(NamedTuple("MemoryRequest", [("kind", RequestKind), ("tensor
     __slots__ = ()
 
     def __new__(cls, kind: RequestKind, tensor_id: str, size: int) -> "MemoryRequest":
+        if type(size) is not int:
+            raise ValueError(f"request size must be an int, got {size!r}")
         if size <= 0:
             raise ValueError(f"request size must be positive, got {size}")
         if not tensor_id:

@@ -35,12 +35,12 @@ Invariants of the pipeline-schedule scoring helpers:
   (schedule evaluation, jitter draws, serial overhead, the failure walk and
   the objective), and :func:`build_candidate_schedule` its ZB-V wave order;
   the systems' schedule sweep and ``repro sim-pipeline`` both call them;
-* :func:`resolve_schedule` is total over the sweeps' inputs: interleaving
-  falls back to plain 1F1B when its structural constraints (divisibility,
-  chunk counts) do not hold, and the sweeps degrade ZB-V to ZB-H1 via
-  :func:`viable_schedule_kind` when the model cannot fill two V-placed
-  chunks per rank -- the search must never throw on a legal parallelism
-  point.  Only an *explicit* ZB-V request with an unsatisfiable chunk count
+* :func:`resolve_schedule_shape` is total over the sweeps' inputs:
+  interleaving falls back to plain 1F1B when its structural constraints
+  (divisibility, chunk counts) do not hold, and the sweeps degrade ZB-V to
+  ZB-H1 via :func:`viable_schedule_kind` when the model cannot fill two
+  V-placed chunks per rank -- the search must never throw on a legal
+  parallelism point.  Only an *explicit* ZB-V request with an unsatisfiable chunk count
   or layer budget is rejected (:func:`resolve_schedule_shape` raises rather
   than silently capping the V placement away);
 * ``micro_batches`` fed to a schedule is the replica's micro-iteration count
@@ -87,7 +87,7 @@ from repro.sim.failures import (
 )
 from repro.sim.fastpath import cached_build_schedule, evaluate_schedule, wave_ratio_from_costs
 from repro.sim.pipeline import PipelineTimeline, StageCosts
-from repro.sim.schedules import PipelineSchedule, ScheduleKind, V_WAVE_CHUNKS, WaveRatio
+from repro.sim.schedules import PipelineSchedule, ScheduleKind, V_WAVE_CHUNKS
 from repro.sim.stochastic import (
     DEFAULT_REPLICAS, JitterSpec, MakespanDistribution, RISK_OBJECTIVES, monte_carlo_timeline,
     parse_jitter_spec,
@@ -867,9 +867,15 @@ def resolve_schedule_shape(
 ) -> Shape:
     """The ``(kind, stages, micro_batches, chunks)`` a PP candidate would run.
 
-    Applies the same fallbacks as :func:`resolve_schedule` without building
-    the O(p m v) op lists -- candidate loops use the shape for lower-bound
-    pruning and only materialise the schedules that survive.
+    Interleaving silently falls back to plain 1F1B when Megatron's
+    ``m % p == 0`` constraint does not hold for this candidate (or fewer than
+    two chunks were requested).  ZB-H1 is defined on the non-interleaved
+    pipeline, so a chunk request is ignored for it.  When the model's
+    ``num_layers`` is given, the chunk count is capped so every virtual
+    stage holds at least one layer -- over-asking degrades, never throws.
+    No op list is built: candidate loops use the shape for lower-bound
+    pruning and :func:`build_candidate_schedule` materialises only the
+    schedules that survive.
 
     ZB-V is the one kind whose chunk count is structural rather than tunable:
     the V placement folds exactly :data:`~repro.sim.schedules.V_WAVE_CHUNKS`
@@ -935,37 +941,6 @@ def schedule_candidates(
             seen.add((shape[0], shape[3]))
             candidates.append((kind, shape))
     return candidates
-
-
-def resolve_schedule(
-    parallel: ParallelismConfig,
-    schedule_kind: ScheduleKind,
-    num_micro_batches: Optional[int] = None,
-    num_chunks: int = 1,
-    num_layers: Optional[int] = None,
-    wave_ratio: Optional[WaveRatio] = None,
-):
-    """Build the schedule a PP candidate would run.
-
-    Interleaving silently falls back to plain 1F1B when Megatron's
-    ``m % p == 0`` constraint does not hold for this candidate (or fewer than
-    two chunks were requested).  ZB-H1 is defined on the non-interleaved
-    pipeline, so a chunk request is ignored for it.  When the model's
-    ``num_layers`` is given, the chunk count is capped so every virtual
-    stage holds at least one layer -- over-asking degrades, never throws.
-    The one exception is an explicit ZB-V request the V placement cannot
-    satisfy (wrong chunk count, or fewer than two layers per rank), which
-    raises instead of silently building a non-V schedule; candidate sweeps
-    pre-degrade the kind with :func:`viable_schedule_kind`.
-
-    ``wave_ratio`` shapes the ZB-V wavefront's op order
-    (:func:`repro.sim.fastpath.wave_ratio_from_costs` derives it from the
-    candidate's costs); non-V kinds -- including a degraded ZB-V -- ignore it.
-    """
-    shape = resolve_schedule_shape(
-        parallel, schedule_kind, num_micro_batches, num_chunks, num_layers,
-    )
-    return cached_build_schedule(*shape, wave_ratio=wave_ratio)
 
 
 def find_best_strategy(

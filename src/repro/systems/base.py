@@ -404,6 +404,17 @@ class StrategyEvaluation:
     time_to_train: Optional[TimeToTrainDistribution] = None
 
 
+class PipelineHop(NamedTuple):
+    """One micro-batch's hand-off to the next stage, in one direction."""
+
+    #: Boundary activation (or gradient) bytes; 0 without pipelining.
+    bytes: float
+    #: Link time of the transfer.
+    time_s: float
+    #: ``bytes / time_s``, or infinity when the hand-off is free.
+    bandwidth_bytes_per_s: float
+
+
 @dataclass(frozen=True)
 class StageExecution:
     """One pipeline stage's lowered execution: costs, swap plan and timeline.
@@ -505,6 +516,17 @@ class StageExecution:
             boundary_compute_s=0.0,
             serial_overhead_s=0.0,
         )
+
+    @functools.cached_property
+    def p2p_hop(self) -> PipelineHop:
+        """The pipeline transfer model of one micro-batch crossing one stage
+        boundary, shared by the candidate sweep and ``sim-pipeline``."""
+        costs = self.cost_model
+        num_bytes = pipeline_p2p_bytes_per_micro_batch(
+            costs.model, costs.parallel, self.sequence_length, costs.batch_size, costs.precision,
+        )
+        time_s = costs.pipeline_p2p_time(num_bytes)
+        return PipelineHop(num_bytes, time_s, num_bytes / time_s if time_s > 0 else float("inf"))
 
     @property
     def forward_s(self) -> float:
@@ -1053,7 +1075,7 @@ class TrainingSystem(ABC):
                     base_memory.skeletal_activation_bytes
                     + base_memory.rounding_buffer_bytes
                 ),
-                p2p_bytes=p2p_bytes,
+                p2p_bytes=execution.p2p_hop.bytes,
             )
 
         def evaluate_with_schedule(
@@ -1088,7 +1110,7 @@ class TrainingSystem(ABC):
                 work, costs = micro_iterations * timeline.total_s / max(1.0 - bubble, 1e-9), None
             score = score_candidate(
                 config, work, costs,
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth,
+                p2p_bandwidth_bytes_per_s=execution.p2p_hop.bandwidth_bytes_per_s,
                 pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
                 serial_s=per_iteration_serial,
                 num_ranks=workload.num_gpus,
@@ -1122,18 +1144,6 @@ class TrainingSystem(ABC):
                 num_layers=model.num_layers,
             )
 
-        # Loop-invariant pipeline transfer model, shared by the pruning bound
-        # and every candidate evaluation.
-        p2p_bytes = 0.0
-        p2p_bandwidth = float("inf")
-        if any(shape is not None for _, shape in candidates):
-            p2p_bytes = pipeline_p2p_bytes_per_micro_batch(
-                model, parallel, workload.sequence_length,
-                workload.micro_batch_size, self.precision,
-            )
-            p2p_time = cost_model.pipeline_p2p_time(p2p_bytes)
-            p2p_bandwidth = p2p_bytes / p2p_time if p2p_time > 0 else float("inf")
-
         if _every_candidate_oom(base_memory, cluster.gpu.memory_bytes):
             # _scale_pipeline_in_flight only multiplies non-negative fields
             # by a factor > 1 (float rounding is monotone), so every
@@ -1144,7 +1154,8 @@ class TrainingSystem(ABC):
 
         bounds = [
             pipeline_lower_bound_for_shape(
-                *shape, stage_costs_for(shape), p2p_bandwidth_bytes_per_s=p2p_bandwidth,
+                *shape, stage_costs_for(shape),
+                p2p_bandwidth_bytes_per_s=execution.p2p_hop.bandwidth_bytes_per_s,
             )
             if config.prune_schedule_sweep and shape is not None else None
             for _, shape in candidates

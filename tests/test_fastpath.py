@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import tokens
-from repro.parallel.search import SearchStats, resolve_schedule
+from repro.parallel.search import SearchStats, build_candidate_schedule, resolve_schedule_shape
 from repro.parallel.strategy import DegenerateScheduleWarning, ParallelismConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fastpath import (
@@ -44,7 +44,8 @@ class TestScheduleCache:
 
     def test_resolve_schedule_shares_the_cache(self):
         parallel = ParallelismConfig(pipeline_parallel=4, micro_batches=8)
-        resolved = resolve_schedule(parallel, ScheduleKind.ONE_F_ONE_B)
+        shape = resolve_schedule_shape(parallel, ScheduleKind.ONE_F_ONE_B)
+        resolved = build_candidate_schedule(shape, lambda _: COSTS)
         assert resolved is cached_build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8, 1)
 
     def test_validate_rejects_out_of_range_indices(self):

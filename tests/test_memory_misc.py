@@ -11,32 +11,39 @@ from repro.memory.snapshot import MemoryTimeline
 from repro.model.trace import full_model_trace
 
 
+def one_segment_allocator(size):
+    """An allocator whose requests all share one ``size``-byte segment."""
+    return CachingAllocator(capacity_bytes=size, round_to_bytes=1, small_segment_bytes=size)
+
+
 class TestSegment:
     def test_initial_single_free_block(self):
         segment = Segment(start=0, size=1024)
         assert len(segment.blocks) == 1
-        assert segment.free_bytes == 1024
         assert segment.is_fully_free
 
     def test_allocation_splits_block(self):
-        segment = Segment(start=0, size=1024)
-        segment.allocate_in_block(0, 256, "a")
+        allocator = one_segment_allocator(1024)
+        allocator.malloc("a", 256)
+        (segment,) = allocator.segments
         assert [b.size for b in segment.blocks] == [256, 768]
         assert segment.allocated_bytes == 256
 
     def test_exact_fit_does_not_split(self):
-        segment = Segment(start=0, size=512)
-        segment.allocate_in_block(0, 512, "a")
+        allocator = one_segment_allocator(512)
+        allocator.malloc("a", 512)
+        (segment,) = allocator.segments
         assert len(segment.blocks) == 1
 
     def test_free_coalesces_both_sides(self):
-        segment = Segment(start=0, size=900)
-        segment.allocate_in_block(0, 300, "a")
-        segment.allocate_in_block(1, 300, "b")
-        segment.allocate_in_block(2, 300, "c")
-        segment.free_tensor("a", 0)
-        segment.free_tensor("c", 600)
-        segment.free_tensor("b", 300)
+        allocator = one_segment_allocator(900)
+        allocator.malloc("a", 300)
+        allocator.malloc("b", 300)
+        allocator.malloc("c", 300)
+        allocator.free("a")
+        allocator.free("c")
+        allocator.free("b")
+        (segment,) = allocator.segments
         assert len(segment.blocks) == 1
         assert segment.is_fully_free
 
@@ -55,10 +62,18 @@ class TestSegment:
         ]
 
     def test_cannot_allocate_in_allocated_block(self):
-        segment = Segment(start=0, size=100)
-        segment.allocate_in_block(0, 100, "a")
-        with pytest.raises(ValueError):
-            segment.allocate_in_block(0, 10, "b")
+        # Only a free-block index out of step with the blocks can name an
+        # allocated or too-small block; malloc refuses to carve either.
+        allocator = one_segment_allocator(100)
+        allocator.malloc("a", 100)
+        allocator._free_blocks.append((100, 0, 0))
+        with pytest.raises(ValueError, match="already-allocated block"):
+            allocator.malloc("b", 10)
+        allocator.free("a")
+        allocator.malloc("a", 60)
+        allocator._free_blocks[:] = [(100, 0, 60)]
+        with pytest.raises(ValueError, match="block too small"):
+            allocator.malloc("b", 80)
 
     def test_block_end(self):
         assert Block(offset=10, size=5).end == 15
@@ -70,22 +85,12 @@ class TestMemoryTimeline:
         timeline.record(0, 10, 20)
         timeline.record(1, 15, 20)
         timeline.record(2, 5, 30)
-        assert timeline.peak_allocated_bytes == 15
-        assert timeline.peak_reserved_bytes == 30
         assert timeline.peak_fragmentation_bytes == 25
-        assert timeline.fragmentation_at_peak_reserved() == 25
 
     def test_rejects_reserved_below_allocated(self):
         timeline = MemoryTimeline()
         with pytest.raises(ValueError):
             timeline.record(0, 10, 5)
-
-    def test_series_in_gib(self):
-        timeline = MemoryTimeline()
-        timeline.record(0, GiB, 2 * GiB)
-        series = timeline.series()
-        assert series["allocated_gib"] == [1.0]
-        assert series["reserved_gib"] == [2.0]
 
 
 class TestFragmentationAnalysis:

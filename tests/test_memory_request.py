@@ -26,6 +26,16 @@ class TestMemoryRequest:
         with pytest.raises(ValueError):
             malloc("a", 0)
 
+    @pytest.mark.parametrize("size", [True, 1000.7, 1024.0])
+    def test_rejects_fractional_and_boolean_size(self, size):
+        with pytest.raises(ValueError, match=f"request size must be an int, got {size!r}"):
+            MemoryRequest(RequestKind.MALLOC, "x", size)
+
+    def test_kind_hashes_by_identity(self):
+        # The DSA problem memo hashes every request's kind.
+        assert hash(RequestKind.MALLOC) == object.__hash__(RequestKind.MALLOC)
+        assert len({RequestKind.MALLOC, RequestKind.FREE, RequestKind("malloc")}) == 2
+
     def test_rejects_empty_tensor_id(self):
         with pytest.raises(ValueError):
             malloc("", 16)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import random
 import re
 from typing import Dict, List, Optional, Tuple
 
@@ -25,6 +26,8 @@ from repro.planner.plan import MemoryPlan, PlanEntry
 from repro.sim.executor import LayerTask, simulate_iteration
 from repro.swap.alpha import AlphaProblem, solve_alpha
 from repro.train.tensor_ops import layer_norm, layer_norm_backward, softmax
+
+from frozen_allocator import LayeredAllocator
 
 
 # --------------------------------------------------------------------- traces
@@ -678,18 +681,25 @@ class TestFreeBlockIndex:
             if request.kind is RequestKind.MALLOC:
                 allocator.malloc(tensor_id, request.size)
                 continue
-            position, offset, _ = allocator._tensor_blocks[tensor_id]
-            segment = allocator.segments[position]
+            position, offset, size = allocator._tensor_blocks[tensor_id]
             # An unknown id names no block, for the scan too, and neither does a wrong offset.
-            assert _scan_free_tensor(copy.deepcopy(segment), "missing") is None
-            assert copy.deepcopy(segment).free_tensor("missing", offset) is None
-            assert copy.deepcopy(segment).free_tensor(tensor_id, offset + 1) is None
-            scanned, by_offset = copy.deepcopy(segment), copy.deepcopy(segment)
-            assert by_offset.free_tensor(tensor_id, offset) == _scan_free_tensor(scanned, tensor_id)
-            assert by_offset == scanned
+            assert _scan_free_tensor(copy.deepcopy(allocator.segments[position]), "missing") is None
+            with pytest.raises(KeyError, match="is not allocated"):
+                allocator.free("missing")
+            misplaced = copy.deepcopy(allocator)
+            misplaced._tensor_blocks[tensor_id] = (position, offset + 1, size)
+            with pytest.raises(KeyError, match="not found in its segment"):
+                misplaced.free(tensor_id)
+            scanned = copy.deepcopy(allocator.segments[position])
+            assert _scan_free_tensor(scanned, tensor_id) is not None
             allocator.free(tensor_id)
             assert allocator.segments[position] == scanned
-            assert copy.deepcopy(scanned).free_tensor(tensor_id, offset) is None  # already free
+            # Already free: unknown to the allocator, and its block backs no tensor.
+            with pytest.raises(KeyError, match="is not allocated"):
+                allocator.free(tensor_id)
+            allocator._tensor_blocks[tensor_id] = (position, offset, size)
+            with pytest.raises(KeyError, match="not found in its segment"):
+                allocator.free(tensor_id)
 
 
 def _scan_free_tensor(segment, tensor_id):
@@ -711,6 +721,148 @@ def _scan_free_tensor(segment, tensor_id):
     blocks[low].size = sum(size for size, _ in run)
     del blocks[low + 1:high]
     return run
+
+
+def _apply_request(subject, request, failed):
+    """Run one request; None, or the OutOfMemoryError's message and fields."""
+    try:
+        if request.kind is RequestKind.MALLOC:
+            subject.malloc(request.tensor_id, request.size)
+        elif request.tensor_id not in failed:
+            subject.free(request.tensor_id)
+    except OutOfMemoryError as error:
+        return str(error), error.requested, error.reserved, error.allocated
+    return None
+
+
+def _assert_same_allocator_state(flat, layered):
+    assert flat.segments == layered.segments
+    assert flat._tensor_blocks == layered._tensor_blocks
+    assert flat._free_blocks == layered._free_blocks
+    assert flat.stats == layered.stats
+    assert flat.timeline.points == layered.timeline.points
+    assert (flat.allocated_bytes, flat.reserved_bytes, flat._step, flat._next_segment_start) == (
+        layered.allocated_bytes, layered.reserved_bytes, layered._step, layered._next_segment_start,
+    )
+
+
+#: ``memory_plan``'s iteration stream: 4-layer 7B traces at 8K tokens
+#: jittered by up to 8 %, 30 per round, replayed on one 7 GiB device.
+_MEMORY_PLAN_LENGTHS = [
+    max(256, int(8192 * (1.0 + jitter)) // 256 * 256) for jitter in (-0.08, -0.04, 0.0, 0.04, 0.08)
+]
+
+
+#: The cached 32 KiB segment of "a" is released for the larger "b".
+_REORGANISING_TRACE = [
+    MemoryRequest(RequestKind.MALLOC, "a", 1 << 15),
+    MemoryRequest(RequestKind.FREE, "a", 1 << 15),
+    MemoryRequest(RequestKind.MALLOC, "b", 40000),
+]
+#: "a" pins its small segment, so "c" fails; "d" then fits beside "a".
+_FAILING_TRACE = [
+    MemoryRequest(RequestKind.MALLOC, "a", 100),
+    MemoryRequest(RequestKind.MALLOC, "c", 1 << 16),
+    MemoryRequest(RequestKind.MALLOC, "d", 100),
+    MemoryRequest(RequestKind.FREE, "c", 1 << 16),
+    MemoryRequest(RequestKind.FREE, "d", 100),
+    MemoryRequest(RequestKind.FREE, "a", 100),
+]
+
+
+class TestFlatAllocator:
+    """The flat ``malloc``/``free`` bodies leave, request by request, exactly
+    the state the layered path (``tests/frozen_allocator.py``) left."""
+
+    @given(
+        malloc_free_traces(max_tensors=16),
+        st.sampled_from([1, 512]),
+        st.sampled_from([1, 1 << 15]),
+        st.floats(min_value=1.0, max_value=2.0),
+    )
+    @example(_REORGANISING_TRACE, 512, 1 << 15, 1.0)
+    @example(_FAILING_TRACE, 1, 1 << 15, 1.0)
+    @settings(max_examples=120, deadline=None)
+    def test_flat_path_equals_layered_copy(self, trace, round_to, large, capacity_scale):
+        settings_ = dict(
+            capacity_bytes=int(capacity_scale * peak_live_bytes(trace)) + 1024,
+            round_to_bytes=round_to,
+            large_request_threshold=large,
+            small_segment_bytes=1 << 16,
+        )
+        flat, layered = CachingAllocator(**settings_), LayeredAllocator(**settings_)
+        failed = set()
+        for request in trace:
+            outcome = _apply_request(flat, request, failed)
+            assert outcome == _apply_request(layered, request, failed)
+            if outcome is not None:
+                failed.add(request.tensor_id)
+            _assert_same_allocator_state(flat, layered)
+
+    def test_examples_reorganise_and_fail(self):
+        # The explicit examples above reach the slow paths.
+        allocator = CachingAllocator(
+            capacity_bytes=peak_live_bytes(_REORGANISING_TRACE) + 1024, round_to_bytes=512,
+            large_request_threshold=1 << 15, small_segment_bytes=1 << 16,
+        )
+        allocator.replay(_REORGANISING_TRACE)
+        assert allocator.stats.num_reorganizations == 1
+        allocator = CachingAllocator(
+            capacity_bytes=peak_live_bytes(_FAILING_TRACE) + 1024, round_to_bytes=1,
+            large_request_threshold=1 << 15, small_segment_bytes=1 << 16,
+        )
+        with pytest.raises(OutOfMemoryError):
+            allocator.replay(_FAILING_TRACE)
+        assert allocator.stats.num_failed_allocations == 1
+
+    @pytest.mark.parametrize("call, args", [
+        ("malloc", ("b", 0)),
+        ("malloc", ("b", -512)),
+        ("malloc", ("a", 512)),
+        ("free", ("ghost",)),
+    ])
+    def test_rejections_match_layered_copy(self, call, args):
+        errors = []
+        subjects = CachingAllocator(capacity_bytes=4 << 20), LayeredAllocator(capacity_bytes=4 << 20)
+        for subject in subjects:
+            subject.malloc("a", 1000)
+            with pytest.raises((ValueError, KeyError)) as excinfo:
+                getattr(subject, call)(*args)
+            errors.append((excinfo.type, str(excinfo.value)))
+        assert errors[0] == errors[1]
+        _assert_same_allocator_state(*subjects)
+
+    @pytest.mark.parametrize("size", [1.5, 1000.0, True])
+    def test_fractional_and_boolean_sizes_rejected(self, size):
+        # The layered path placed them, leaving float offsets and totals.
+        allocator = CachingAllocator(capacity_bytes=1 << 22)
+        with pytest.raises(ValueError, match=f"size must be an int, got {size!r}"):
+            allocator.malloc("b", size)
+        assert allocator.stats.num_mallocs == 0 and not allocator.segments
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_memory_plan_stream_equals_layered_copy(self, seed):
+        model = get_model_config("7B")
+        stream = _MEMORY_PLAN_LENGTHS * 6
+        random.Random(seed).shuffle(stream)
+
+        def fresh_pair():  # 7 GiB devices; an OOM restarts both on fresh ones
+            return CachingAllocator(capacity_bytes=7 << 30), LayeredAllocator(capacity_bytes=7 << 30)
+
+        flat, layered = fresh_pair()
+        for length in stream:
+            trace = full_model_trace(model, 1, length, num_layers=4, include_skeletal=True)
+            outcomes = []
+            for subject in (flat, layered):
+                try:
+                    subject.replay(trace)
+                    outcomes.append(None)
+                except OutOfMemoryError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            _assert_same_allocator_state(flat, layered)
+            if outcomes[0] is not None:
+                flat, layered = fresh_pair()
 
 
 class TestAlphaProperties:

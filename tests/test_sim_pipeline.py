@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import tokens
-from repro.parallel.search import SearchStats, resolve_schedule
+from repro.parallel.search import SearchStats, build_candidate_schedule, resolve_schedule_shape
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.executor import LayerTask, simulate_iteration
 from repro.sim.engine import SimulationEngine
@@ -397,7 +397,9 @@ class TestSearchIntegration:
 
     def test_resolve_schedule_falls_back_to_1f1b(self):
         parallel = self.make_parallel(pp=4, m=6)  # 6 % 4 != 0
-        schedule = resolve_schedule(parallel, ScheduleKind.INTERLEAVED, num_chunks=2)
+        shape = resolve_schedule_shape(parallel, ScheduleKind.INTERLEAVED, num_chunks=2)
+        costs = StageCosts(forward_s=1.0, backward_s=2.0)
+        schedule = build_candidate_schedule(shape, lambda _: costs)
         assert schedule.kind is ScheduleKind.ONE_F_ONE_B
         assert schedule.num_chunks == 1
 
