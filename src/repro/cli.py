@@ -44,7 +44,7 @@ from repro.sim.pipeline import (
 )
 from repro.sim.failures import FailureSpec, TTRAIN_OBJECTIVES
 from repro.sim.schedules import ScheduleKind
-from repro.sim.stochastic import RISK_OBJECTIVES
+from repro.sim.stochastic import RISK_OBJECTIVES, JitterRangeError
 from repro.experiments.figure1 import crossover_sequence_length_k, run_figure1a, run_figure1b
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure11 import max_loss_divergence, run_figure11a, run_figure11d
@@ -291,7 +291,11 @@ def _command_estimate(args) -> int:
     print("-" * len(header))
     for system in (DeepSpeedSystem(config=config), MegatronSystem(config=config),
                    MemoSystem(config=config)):
-        report = system.run(workload)
+        try:
+            report = system.run(workload)
+        except JitterRangeError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         if report.feasible:
             if report.time_to_train is not None:
                 ttd = report.time_to_train
@@ -522,14 +526,18 @@ def _command_sim_pipeline(args) -> int:
         if cost_error is not None:
             print(f"error: {name}: {cost_error}", file=sys.stderr)
             return 2
-        score = score_candidate(
-            config, schedule, costs,
-            p2p_bandwidth_bytes_per_s=hop.bandwidth_bytes_per_s,
-            pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
-            serial_s=0.0,
-            num_ranks=args.gpus,
-            gpus_per_node=workload.cluster().node.gpus_per_node,
-        )
+        try:
+            score = score_candidate(
+                config, schedule, costs,
+                p2p_bandwidth_bytes_per_s=hop.bandwidth_bytes_per_s,
+                pcie_bandwidth_bytes_per_s=execution.pcie_bandwidth_bytes_per_s,
+                serial_s=0.0,
+                num_ranks=args.gpus,
+                gpus_per_node=workload.cluster().node.gpus_per_node,
+            )
+        except JitterRangeError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         timeline = score.timeline
         stages = stage_peak_memory(
             schedule, costs,

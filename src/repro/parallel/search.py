@@ -15,11 +15,13 @@ Invariants of the pipeline-schedule scoring helpers:
   bubble formula; the schedule candidate set
   (:data:`PIPELINE_SCHEDULE_CANDIDATES`) covers 1F1B, interleaved-1F1B and
   the zero-bubble ZB-H1 and ZB-V;
-* scoring runs on the critical-path fast evaluator
-  (:func:`repro.sim.fastpath.evaluate_schedule`, memoized) by default; the
-  event engine is the opt-in ``engine="event"`` / ``validate=True`` oracle,
-  and the two are bit-identical on makespan, bubble and peak memory -- the
-  search may switch evaluators without changing any reported number;
+* scoring runs on the critical-path fast evaluator by default
+  (:func:`repro.sim.fastpath.evaluate_schedule`, memoized, or -- for a
+  jittered candidate whose replicas batch -- row 0 of the Monte-Carlo
+  sweep); the event engine is the opt-in ``engine="event"`` /
+  ``validate=True`` oracle, and the two are bit-identical on makespan,
+  bubble and peak memory -- the search may switch evaluators without
+  changing any reported number;
 * one pruned loop, :func:`pruned_sweep`, owns both levels of the search:
   each strategy's schedule sweep (candidates from
   :func:`schedule_candidates`, floored by
@@ -733,8 +735,12 @@ def score_candidate(
     In order: evaluate the schedule on its stage costs (a PP=1 point passes
     its analytic compute seconds as ``schedule`` instead); under jitter,
     replicate it with seeded perturbations and take the base objective's
-    statistic; add ``serial_s``, the per-iteration serial overhead
-    (``sim-pipeline`` passes ``0.0``, and ``s + 0.0 == s`` for ``s >= 0``);
+    statistic -- when the replicas batch (the fast engine, no validation,
+    more than one replica), one sweep scores the unperturbed costs as row 0
+    and its timeline stands in for the evaluation, so a jittered candidate
+    never enters the timeline cache; add ``serial_s``, the per-iteration
+    serial overhead (``sim-pipeline`` passes ``0.0``, and ``s + 0.0 == s``
+    for ``s >= 0``);
     under failures, walk the checkpoint-restart process over each draw's
     iteration time and, under a ``ttrain_*`` objective, score the walk.
     Every jitter multiplier is >= 1 and every walk sample >= the ideal time,
@@ -744,14 +750,21 @@ def score_candidate(
     timeline = distribution = time_to_train = None
     compute_s = schedule
     if isinstance(schedule, PipelineSchedule):
-        timeline = evaluate_schedule(
-            schedule, stage_costs,
-            p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-            pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-            engine=config.pipeline_engine,
-            validate=config.validate_pipeline,
+        # Replicas that batch on the fast path share their sweep with the
+        # deterministic run (row 0); otherwise the schedule is evaluated first.
+        one_sweep = (
+            config.monte_carlo_active and config.monte_carlo_replicas > 1
+            and config.pipeline_engine == "fast" and not config.validate_pipeline
         )
-        compute_s = timeline.total_s
+        if not one_sweep:
+            timeline = evaluate_schedule(
+                schedule, stage_costs,
+                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
+                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
+                engine=config.pipeline_engine,
+                validate=config.validate_pipeline,
+            )
+            compute_s = timeline.total_s
         if config.monte_carlo_active:
             distribution = monte_carlo_timeline(
                 schedule, stage_costs, config.jitter,
@@ -763,6 +776,8 @@ def score_candidate(
                 ci_halfwidth=config.monte_carlo_ci_halfwidth,
                 objective=config.base_objective,
             )
+            if one_sweep:
+                timeline = distribution.deterministic_timeline
             compute_s = distribution.score(config.base_objective)
     score_s = compute_s + serial_s
     if config.failures_active:

@@ -16,8 +16,9 @@ search that crawls and one that flies.  It works in two steps:
   It is the only code here that decides op order;
 * **execution** -- :func:`critical_path_timeline` runs the program over one
   cost vector with plain floats; :func:`critical_path_timeline_batch` runs it
-  over a batch with elementwise numpy recurrences (Monte-Carlo replica
-  batching in :mod:`repro.sim.stochastic`), bit-identical per row.
+  over a batch, one float64 plane per cost field (:class:`CostPlanes`), with
+  elementwise numpy recurrences (Monte-Carlo replica batching in
+  :mod:`repro.sim.stochastic`), bit-identical per row.
 
 Equivalence invariant (the load-bearing property of this module): for every
 schedule and every cost vector, :func:`critical_path_timeline` returns the
@@ -603,6 +604,55 @@ def critical_path_timeline(
     )
 
 
+#: The :class:`StageCosts` attribute of each cost plane, in plane order.
+PLANE_FIELDS = (
+    "forward_s", "backward_s", "recompute_s", "split_backward_weight_s",
+    "p2p_bytes", "offload_bytes", "prefetch_bytes",
+)
+
+
+@dataclass(frozen=True)
+class CostPlanes:
+    """A batch of per-virtual-stage cost vectors, one float64 plane per field.
+
+    ``values`` has shape ``(7, num_virtual_stages, rows)``; plane ``k`` holds
+    :data:`PLANE_FIELDS` ``[k]`` of every stage and row (the grad-weight
+    plane is the op's duration, half the backward where a stage leaves the
+    split to the default).  Construction runs :class:`StageCosts`'s checks
+    over every element: finite, non-negative, grad-weight <= backward + 1e-12.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = self.values
+        valid = (values >= 0.0) & (values < np.inf)  # NaN fails both
+        valid[3] &= values[3] <= values[1] + 1e-12
+        if not valid.all():
+            field, stage, row = np.argwhere(~valid)[0]
+            raise ValueError(
+                f"{PLANE_FIELDS[field]}={values[field, stage, row]} at virtual stage "
+                f"{stage}, row {row}: costs must be finite and non-negative, and the "
+                f"grad-weight share at most backward_s={values[1, stage, row]}"
+            )
+
+    @classmethod
+    def from_rows(
+        cls,
+        schedule: PipelineSchedule,
+        cost_batch: Sequence[Union[StageCosts, Sequence[StageCosts]]],
+    ) -> "CostPlanes":
+        """Planes of ``B`` cost vectors (each broadcast/validated like the
+        scalar path's ``costs`` argument)."""
+        rows = [_normalise_costs(schedule, costs) for costs in cost_batch]
+        if not rows:
+            raise ValueError("cost_batch must hold at least one cost vector")
+        return cls(np.array([
+            [[getattr(per_stage[vs], name) for per_stage in rows] for vs in range(len(rows[0]))]
+            for name in PLANE_FIELDS
+        ], dtype=float))
+
+
 @dataclass(frozen=True)
 class BatchTimeline:
     """Per-row timing results of one :func:`critical_path_timeline_batch` call.
@@ -610,9 +660,9 @@ class BatchTimeline:
     Row ``b`` holds exactly the floats a scalar
     :func:`critical_path_timeline` call on cost vector ``b`` reports --
     bit-identical, which is what lets the Monte-Carlo layers consume prefixes
-    of a batch interchangeably with scalar draws.  Only the fields the
-    replicated consumers read are materialised (makespan, busy times, bubble);
-    peak memory is cost-structure data the scalar path already owns.
+    of a batch interchangeably with scalar draws.  Only the timing fields are
+    materialised (makespan, busy times, bubble); :meth:`timeline` adds the
+    peak memory of one row's cost vector.
     """
 
     schedule: PipelineSchedule
@@ -626,63 +676,69 @@ class BatchTimeline:
     def batch_size(self) -> int:
         return int(self.total_s.shape[0])
 
+    def timeline(self, row: int, costs: Sequence[StageCosts]) -> PipelineTimeline:
+        """Row ``row`` as the :class:`PipelineTimeline` that
+        :func:`critical_path_timeline` returns for ``costs``, that row's cost
+        vector (without ``records``)."""
+        return PipelineTimeline(
+            schedule=self.schedule,
+            total_s=float(self.total_s[row]),
+            rank_compute_busy_s=self.rank_compute_busy_s[:, row].tolist(),
+            rank_d2h_busy_s=self.rank_d2h_busy_s[:, row].tolist(),
+            rank_h2d_busy_s=self.rank_h2d_busy_s[:, row].tolist(),
+            rank_peak_in_flight=self.schedule.peak_in_flight(),
+            rank_peak_activation_bytes=peak_activation_bytes(self.schedule, costs),
+        )
+
 
 def critical_path_timeline_batch(
     program: ScheduleProgram,
-    cost_batch: Sequence[Sequence[StageCosts]],
+    cost_batch: Union[CostPlanes, Sequence[Sequence[StageCosts]]],
     p2p_bandwidth_bytes_per_s: float = float("inf"),
     p2p_latency_s: float = 0.0,
     pcie_bandwidth_bytes_per_s: float = 16e9,
 ) -> BatchTimeline:
     """Propagate a batch of cost vectors through one compiled schedule DAG.
 
-    ``cost_batch`` holds ``B`` per-virtual-stage cost vectors sharing the
-    program's schedule structure (each vector is broadcast/validated exactly
-    like the scalar path's ``costs`` argument); transfer parameters are
-    shared across the batch, matching how the Monte-Carlo layers perturb
-    durations and byte counts but never the fabric.  Returns a
-    :class:`BatchTimeline` whose row ``b`` is bit-identical to
-    ``critical_path_timeline(program.schedule, cost_batch[b], ...)``.
+    ``cost_batch`` is a :class:`CostPlanes` of ``B`` rows, or ``B``
+    per-virtual-stage cost vectors (each broadcast/validated exactly like the
+    scalar path's ``costs`` argument) that :meth:`CostPlanes.from_rows`
+    stacks; either way the rows share the program's schedule structure.
+    Transfer parameters are shared across the batch, matching how the
+    Monte-Carlo layers perturb durations and byte counts but never the
+    fabric.  Returns a :class:`BatchTimeline` whose row ``b`` is
+    bit-identical to ``critical_path_timeline(program.schedule, row b, ...)``.
 
-    Why each row stays exact: the replay performs the scalar recurrence's
-    ``max``/``+`` operations in the same order with ``np.maximum``/``+`` on
-    float64 vectors (elementwise IEEE operations, identical to the scalar
-    ones); cost-dependent byte branches (offload, prefetch, P2P payloads) are
-    handled per row with masks whose untaken side reproduces the scalar's
-    skipped-branch value (``x + 0.0 == x`` for the non-negative times here,
-    and an unissued prefetch is ``-inf``, the identity of ``max``).
+    Why each row stays exact: the grad-input and fused durations are summed
+    with the scalar path's expressions, plane-wide; the replay performs the
+    scalar recurrence's ``max``/``+`` operations in the same order with
+    ``np.maximum``/``+`` on float64 vectors (elementwise IEEE operations,
+    identical to the scalar ones); cost-dependent byte branches (offload,
+    prefetch, P2P payloads) are handled per row with masks whose untaken side
+    reproduces the scalar's skipped-branch value (``x + 0.0 == x`` for the
+    non-negative times here, and an unissued prefetch is ``-inf``, the
+    identity of ``max``).
     """
     schedule = program.schedule
     _check_transfer_parameters(
         p2p_bandwidth_bytes_per_s, p2p_latency_s, pcie_bandwidth_bytes_per_s,
     )
-    rows = [_normalise_costs(schedule, costs) for costs in cost_batch]
-    if not rows:
-        raise ValueError("cost_batch must hold at least one cost vector")
-    batch = len(rows)
+    if not isinstance(cost_batch, CostPlanes):
+        cost_batch = CostPlanes.from_rows(schedule, cost_batch)
+    forward_dur, backward, recompute, weight_dur, p2p_bytes, offload_bytes, prefetch_bytes = (
+        cost_batch.values
+    )
+    num_virtual, batch = forward_dur.shape
+    if num_virtual != schedule.num_virtual_stages:
+        raise ValueError(
+            f"expected {schedule.num_virtual_stages} per-virtual-stage costs, got {num_virtual}"
+        )
     p = schedule.num_stages
     m = schedule.num_micro_batches
-    num_virtual = schedule.num_virtual_stages
-
-    # Per-virtual-stage cost planes, shape (num_virtual, B).  Durations are
-    # pre-summed with the scalar path's exact expressions (computed per
-    # element in python, so the same float additions).
-    forward_dur = np.empty((num_virtual, batch))
-    fused_dur = np.empty((num_virtual, batch))
-    input_dur = np.empty((num_virtual, batch))
-    weight_dur = np.empty((num_virtual, batch))
-    offload_bytes = np.empty((num_virtual, batch))
-    prefetch_bytes = np.empty((num_virtual, batch))
-    p2p_bytes = np.empty((num_virtual, batch))
-    for b, per_stage in enumerate(rows):
-        for vs, stage in enumerate(per_stage):
-            forward_dur[vs, b] = stage.forward_s
-            fused_dur[vs, b] = stage.recompute_s + stage.backward_s
-            input_dur[vs, b] = stage.recompute_s + stage.split_backward_input_s
-            weight_dur[vs, b] = stage.split_backward_weight_s
-            offload_bytes[vs, b] = stage.offload_bytes
-            prefetch_bytes[vs, b] = stage.prefetch_bytes
-            p2p_bytes[vs, b] = stage.p2p_bytes
+    # ``recompute_s + backward_s`` and ``recompute_s + split_backward_input_s``
+    # (the input share being ``backward_s - split_backward_weight_s``).
+    fused_dur = recompute + backward
+    input_dur = recompute + (backward - weight_dur)
 
     # Cost-dependent branch state, resolved per stage plane: the scalar's
     # ``bytes > 0`` branches become masks, and planes that are zero across
@@ -883,9 +939,10 @@ def evaluate_schedule(
 ) -> PipelineTimeline:
     """Evaluate a schedule with the fast path (memoized) or the event engine.
 
-    The single scoring entry point, called by the candidate scorer
-    (:func:`repro.parallel.search.score_candidate`) that the training
-    systems and the CLI share.  ``engine="fast"`` (the default) runs the
+    The candidate scorer (:func:`repro.parallel.search.score_candidate`)
+    calls it for every candidate except a jittered one whose replicas batch,
+    which takes its deterministic timeline from row 0 of the Monte-Carlo
+    sweep instead.  ``engine="fast"`` (the default) runs the
     memoized critical-path evaluator; ``engine="event"`` runs the
     discrete-event simulator, always fresh -- the oracle must never be
     served from a cache.
@@ -1060,8 +1117,8 @@ def fastpath_cache_info() -> Dict[str, object]:
 def clear_fastpath_caches() -> None:
     """Drop all memoized schedules, timelines and programs (tests, benches).
 
-    The failure walk's arrival memo, the Monte-Carlo replica draws, the
-    skeletal-bytes memo, the strategy-lowering memo
+    The failure walk's arrival memo, the Monte-Carlo replica draws and
+    multiplier planes, the skeletal-bytes memo, the strategy-lowering memo
     (:data:`repro.systems.base._LOWERINGS`) and the memory-planning memos
     (iteration traces, DSA problems with their heuristic plans, MEMO's
     prepared plans) go too, so a cleared process redraws every failure trace
@@ -1079,7 +1136,7 @@ def clear_fastpath_caches() -> None:
     from repro.planner.dsa import _problem_from_trace
     from repro.sim.costs import clear_stage_profile_store
     from repro.sim.failures import clear_failure_arrival_memo
-    from repro.sim.stochastic import _replica_variates
+    from repro.sim.stochastic import _replica_multipliers, _replica_variates
     from repro.systems.base import clear_lowering_memo
 
     cached_build_schedule.cache_clear()  # bumps the generation
@@ -1088,6 +1145,7 @@ def clear_fastpath_caches() -> None:
     clear_stage_profile_store()
     clear_failure_arrival_memo()
     _replica_variates.cache_clear()
+    _replica_multipliers.cache_clear()
     skeletal_bytes_per_layer.cache_clear()
     clear_lowering_memo()
     _full_model_trace.cache_clear()

@@ -197,12 +197,6 @@ class PipelineTimeline:
         """The uniform-stage analytic bound the measurement is compared to."""
         return self.schedule.analytic_bubble_fraction()
 
-    def rank_bubble_fraction(self, rank: int) -> float:
-        """Idle fraction of one rank's compute stream."""
-        if self.total_s <= 0:
-            return 0.0
-        return max(1.0 - self.rank_compute_busy_s[rank] / self.total_s, 0.0)
-
     def record(self, kind: OpKind, virtual_stage: int, micro_batch: int) -> PipelineOpRecord:
         """Look up the record of one op (tests and timeline rendering)."""
         for entry in self.records:

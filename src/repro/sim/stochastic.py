@@ -10,7 +10,11 @@ replication and a risk-adjusted score -- without touching either engine:
   (:func:`perturb_stage_costs`): every draw produces an ordinary per-stage
   cost vector, which the existing critical-path fast evaluator scores
   unchanged, so the ``fast == event`` equivalence invariant holds *per draw*
-  (property-tested in ``tests/test_properties_fastpath.py``);
+  (property-tested in ``tests/test_properties_fastpath.py``).  The jitter
+  formula has one owner, :func:`_multiplier_planes`: a draw's multipliers,
+  one plane per cost field, which scale a candidate's cost columns into
+  :class:`~repro.sim.fastpath.CostPlanes` for the batched sweep and into
+  ``StageCosts`` rows for the scalar one, with the same IEEE products;
 * every multiplier the models draw is **>= 1** (folded lognormal compute
   jitter, Pareto-tailed straggler multipliers, folded lognormal link
   inflation), so each draw's makespan is at least the deterministic makespan
@@ -40,12 +44,14 @@ and its sequential-stopping rule (:class:`SampleStatistics`,
 :class:`ReplicaBudget`) are shared with the time-to-train walk of
 :mod:`repro.sim.failures`.
 
-Monte-Carlo draws are evaluated through :func:`critical_path_timeline`
+Monte-Carlo draws are evaluated through the critical-path executors
 directly, *never* through the memoized ``evaluate_schedule`` wrapper: each
 draw's cost vector is unique, so routing replicas through the lru caches
 would evict the deterministic search's working set without ever hitting
 (the bench guard in ``scripts/bench_search.py`` checks the deterministic
-cache counters are untouched by the stochastic layer).
+cache counters are untouched by the stochastic layer).  A batched run's
+deterministic timeline is row 0 of its own sweep, so it skips that cache
+too.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -70,13 +76,16 @@ from repro.jsonutil import (
 )
 
 from repro.sim.fastpath import (
+    CostPlanes,
     _check_against_oracle,
     compile_schedule_program,
     critical_path_timeline,
     critical_path_timeline_batch,
     pipeline_lower_bound,
 )
-from repro.sim.pipeline import StageCosts, _normalise_costs, simulate_pipeline
+from repro.sim.pipeline import (
+    PipelineTimeline, StageCosts, _normalise_costs, simulate_pipeline,
+)
 from repro.sim.schedules import PipelineSchedule
 
 #: Risk objectives the search may optimize.  ``"mean"`` reproduces the
@@ -288,6 +297,11 @@ def _replica_variates(
     return variates
 
 
+class JitterRangeError(ValueError):
+    """A jitter spec whose draws leave the float range: a multiplier or a
+    jittered stage cost overflows.  The message names the spec."""
+
+
 def perturb_stage_costs(
     costs: Union[StageCosts, Sequence[StageCosts]],
     spec: JitterSpec,
@@ -318,6 +332,9 @@ def perturb_stage_costs(
     the spec's scales are applied to the fixed draws afterwards.  Two specs
     differing only in scale therefore see pointwise-coupled perturbations,
     making each draw's makespan monotone in every jitter scale.
+
+    Raises:
+        JitterRangeError: if a multiplier or a jittered cost overflows.
     """
     if isinstance(costs, StageCosts):
         per_stage: Sequence[StageCosts] = [costs]
@@ -339,44 +356,128 @@ def _apply_variates(
     per_stage: Sequence[StageCosts], spec: JitterSpec,
     variates: Tuple[np.ndarray, ...], vs_rank: Sequence[int],
 ) -> Tuple[StageCosts, ...]:
-    """Scale one replica's raw draws by ``spec`` and perturb ``per_stage``."""
-    straggler_u, straggler_tail, compute_z, link_z, swap_z = variates
+    """Scale one replica's raw draws by ``spec`` and perturb ``per_stage``:
+    the cost vector of :func:`_jittered_planes`' only row."""
     if spec.is_null:
         return tuple(per_stage)
-
-    rank_mult = [
-        (1.0 - tail) ** (-1.0 / spec.straggler_alpha)
-        if u < spec.straggler_prob else 1.0
-        for u, tail in zip(straggler_u, straggler_tail)
-    ]
-
-    perturbed = []
-    for index, stage in enumerate(per_stage):
-        straggle = rank_mult[vs_rank[index]]
-        forward_mult = math.exp(spec.compute_sigma * abs(compute_z[index, 0])) * straggle
-        backward_mult = math.exp(spec.compute_sigma * abs(compute_z[index, 1])) * straggle
-        link_mult = math.exp(spec.link_sigma * abs(link_z[index]))
-        offload_mult = math.exp(spec.swap_sigma * abs(swap_z[index, 0]))
-        prefetch_mult = math.exp(spec.swap_sigma * abs(swap_z[index, 1]))
-        perturbed.append(StageCosts(
-            forward_s=stage.forward_s * forward_mult,
-            backward_s=stage.backward_s * backward_mult,
-            p2p_bytes=stage.p2p_bytes * link_mult,
-            offload_bytes=stage.offload_bytes * offload_mult,
-            prefetch_bytes=stage.prefetch_bytes * prefetch_mult,
-            # Recompute rides the backward (grad-input) op in both engines.
-            recompute_s=stage.recompute_s * backward_mult,
+    planes = _jittered_planes(per_stage, spec, _multiplier_planes([variates], spec, vs_rank))
+    forward, backward, recompute, weight, p2p, offload, prefetch = planes.values[:, :, 0].tolist()
+    return tuple(
+        StageCosts(
+            forward_s=forward[index],
+            backward_s=backward[index],
+            p2p_bytes=p2p[index],
+            offload_bytes=offload[index],
+            prefetch_bytes=prefetch[index],
+            recompute_s=recompute[index],
             activation_bytes=stage.activation_bytes,
-            # Scaling the grad-weight share by the same backward multiplier
-            # keeps it inside [0, backward_s] and preserves the B/W split
-            # ratio the zero-bubble wavefront was ordered for.
-            backward_weight_s=(
-                None if stage.backward_weight_s is None
-                else stage.backward_weight_s * backward_mult
-            ),
+            backward_weight_s=None if stage.backward_weight_s is None else weight[index],
             weight_grad_bytes=stage.weight_grad_bytes,
-        ))
-    return tuple(perturbed)
+        )
+        for index, stage in enumerate(per_stage)
+    )
+
+
+def _multiplier_planes(
+    draws: Sequence[Tuple[np.ndarray, ...]], spec: JitterSpec, vs_rank: Sequence[int],
+    identity: bool = False,
+) -> np.ndarray:
+    """The jitter multipliers of replicas' raw draws, in :class:`CostPlanes` order.
+
+    Shape ``(7, virtual stages, identity + len(draws))``: column ``c`` of
+    every plane belongs to ``draws[c - identity]``, and a leading identity
+    column (all ``1.0``) stands for the unperturbed run.  The one owner of
+    the jitter formula: a straggler rank's Pareto factor times each stage's
+    folded-lognormal forward and backward factors, the backward factor also
+    scaling recompute and the grad-weight share (which keeps the zero-bubble
+    B/W split), and folded-lognormal link and swap factors on the bytes.
+
+    Raises:
+        JitterRangeError: if a multiplier overflows.
+    """
+    exp = np.vectorize(math.exp, otypes=[float])  # math.exp per element
+    stage_rank = list(vs_rank)
+    columns = [np.ones((7, len(stage_rank)))] if identity else []
+    try:
+        # An overflowing power or product is caught below as a non-finite
+        # multiplier; math.exp raises OverflowError instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for straggler_u, straggler_tail, compute_z, link_z, swap_z in draws:
+                rank_mult = np.array([
+                    (1.0 - tail) ** (-1.0 / spec.straggler_alpha)
+                    if u < spec.straggler_prob else 1.0
+                    for u, tail in zip(straggler_u, straggler_tail)
+                ])
+                compute = exp(spec.compute_sigma * np.abs(compute_z)) * rank_mult[stage_rank, None]
+                swap = exp(spec.swap_sigma * np.abs(swap_z))
+                link = exp(spec.link_sigma * np.abs(link_z))
+                backward = compute[:, 1]
+                columns.append(np.stack(
+                    [compute[:, 0], backward, backward, backward, link, swap[:, 0], swap[:, 1]]
+                ))
+    except OverflowError:
+        raise _range_error(spec, "a drawn multiplier exceeds the float range") from None
+    planes = np.stack(columns, axis=2)
+    if not np.isfinite(planes).all():
+        raise _range_error(spec, "a drawn multiplier exceeds the float range")
+    return planes
+
+
+@functools.lru_cache(maxsize=256)
+def _replica_multipliers(
+    seed: int, start: int, stop: int, vs_rank: Tuple[int, ...], spec: JitterSpec,
+    identity: bool,
+) -> np.ndarray:
+    """The process-wide, read-only :func:`_multiplier_planes` of replicas
+    ``start .. stop - 1`` of ``seed`` under one placement and spec."""
+    num_ranks = max(vs_rank) + 1
+    draws = [
+        _replica_variates(seed, replica, num_ranks, len(vs_rank))
+        for replica in range(start, stop)
+    ]
+    planes = _multiplier_planes(draws, spec, vs_rank, identity)
+    planes.flags.writeable = False
+    return planes
+
+
+def _jittered_planes(
+    per_stage: Sequence[StageCosts], spec: JitterSpec, multipliers: np.ndarray,
+) -> CostPlanes:
+    """``per_stage`` scaled by each column of ``multipliers``.
+
+    Every element is one field times its multiplier (``forward_s *
+    multiplier`` and so on, the same IEEE product in numpy as in Python), and
+    a stage that leaves its grad-weight share to the default split takes half
+    its jittered backward, as :attr:`StageCosts.split_backward_weight_s`
+    would.
+
+    Raises:
+        JitterRangeError: if a jittered cost overflows.
+    """
+    base = np.array([
+        [stage.forward_s for stage in per_stage],
+        [stage.backward_s for stage in per_stage],
+        [stage.recompute_s for stage in per_stage],
+        [stage.backward_weight_s or 0.0 for stage in per_stage],
+        [stage.p2p_bytes for stage in per_stage],
+        [stage.offload_bytes for stage in per_stage],
+        [stage.prefetch_bytes for stage in per_stage],
+    ], dtype=float)
+    with np.errstate(over="ignore"):
+        values = base[:, :, None] * multipliers
+    default_split = [
+        index for index, stage in enumerate(per_stage) if stage.backward_weight_s is None
+    ]
+    if default_split:
+        values[3, default_split] = 0.5 * values[1, default_split]
+    try:
+        return CostPlanes(values)
+    except ValueError as error:
+        raise _range_error(spec, str(error)) from None
+
+
+def _range_error(spec: JitterSpec, detail: str) -> JitterRangeError:
+    return JitterRangeError(f"jitter spec {spec.describe()!r} overflows: {detail}")
 
 
 def _risk_base(objective: str) -> str:
@@ -488,6 +589,11 @@ class MakespanDistribution(SampleStatistics):
     #: The CI half-width bound a sequential-stopping run targeted, ``None``
     #: for a fixed-replica run (the default path).
     target_ci_halfwidth: Optional[float] = None
+    #: The fast path's timeline of the unperturbed costs (row 0 of a batched
+    #: sweep); neither compared nor serialized, ``None`` after a JSON round trip.
+    deterministic_timeline: Optional[PipelineTimeline] = field(
+        default=None, compare=False, repr=False,
+    )
 
     def __post_init__(self) -> None:
         if not self.samples:
@@ -660,11 +766,14 @@ def monte_carlo_timeline(
     scores the *same* schedule with the critical-path fast evaluator -- the
     op order is fixed by the deterministic costs, only the durations move,
     mirroring how a real cluster executes the planned schedule under noise.
+    The unperturbed costs are scored too: their fast-path timeline is the
+    result's ``deterministic_timeline`` and its makespan
+    ``deterministic_total_s``.
 
     Determinism contract: the returned distribution is a pure function of
     ``(schedule structure, costs, spec, replicas, seed, transfer params,
     ci_halfwidth, objective, min_replicas)``.  Replicas evaluate through the
-    uncached evaluator, so Monte-Carlo never pollutes the deterministic
+    uncached executors, so Monte-Carlo never pollutes the deterministic
     search's memo caches.
 
     Variance-aware budgeting: with ``ci_halfwidth`` set, replication stops
@@ -688,26 +797,26 @@ def monte_carlo_timeline(
     calls over the schedule's compiled :class:`ScheduleProgram` whenever more
     than one replica is requested and ``validate`` is off; ``batch=False``
     forces the scalar per-replica loop and ``batch=True`` forces batching.
-    The two paths are bit-identical -- every batch row reproduces the
-    scalar executor's float operations exactly, and under ``ci_halfwidth`` the
-    batched path evaluates chunks (``min_replicas`` first, then doubling)
+    A batch is the candidate's cost columns times memoized multiplier planes
+    (:func:`_replica_multipliers`, no per-replica ``StageCosts``), and the
+    first batch leads with the unperturbed row, so one sweep also yields the
+    deterministic timeline; the scalar loop sweeps the unperturbed costs on
+    their own.  The two paths are bit-identical -- every batch row reproduces
+    the scalar executor's float operations exactly, and under ``ci_halfwidth``
+    the batched path evaluates chunks (``min_replicas`` first, then doubling)
     but applies the stop test sample by sample in replica order, so it stops
     at exactly the scalar loop's replica and discards any surplus draws of
     the final chunk.  ``validate=True`` always takes the scalar loop: the
     oracle cross-check is inherently per draw.
+
+    Raises:
+        JitterRangeError: if ``spec`` overflows a multiplier or a cost.
     """
     budget = ReplicaBudget(replicas, ci_halfwidth, objective, min_replicas)
     per_stage = _normalise_costs(schedule, costs)
     vs_rank = schedule.virtual_stage_ranks
     num_ranks = max(vs_rank) + 1
-
-    def draw(replica: int) -> Tuple[StageCosts, ...]:
-        # Bit-identical to perturb_stage_costs(..., replica_rng(seed, replica)).
-        variates = _replica_variates(seed, replica, num_ranks, len(per_stage))
-        return _apply_variates(per_stage, spec, variates, vs_rank)
-
-    deterministic = critical_path_timeline(
-        schedule, per_stage,
+    transfer = dict(
         p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
         p2p_latency_s=p2p_latency_s,
         pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
@@ -734,36 +843,33 @@ def monte_carlo_timeline(
                 chunk = min(min_replicas, replicas)
             else:
                 chunk = min(next_replica, replicas - next_replica)
-            drawn_rows = [draw(next_replica + offset) for offset in range(chunk)]
-            result = critical_path_timeline_batch(
-                program, drawn_rows,
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-                p2p_latency_s=p2p_latency_s,
-                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
+            # The first chunk leads with the unperturbed row: the
+            # deterministic run shares the sweep.
+            first = next_replica == 0
+            multipliers = _replica_multipliers(
+                seed, next_replica, next_replica + chunk, vs_rank, spec, first,
             )
-            for offset in range(chunk):
-                samples.append(float(result.total_s[offset]))
-                bubbles.append(float(result.bubble_fraction[offset]))
+            result = critical_path_timeline_batch(
+                program, _jittered_planes(per_stage, spec, multipliers), **transfer,
+            )
+            if first:
+                deterministic = result.timeline(0, per_stage)
+            for row in range(first, first + chunk):
+                samples.append(float(result.total_s[row]))
+                bubbles.append(float(result.bubble_fraction[row]))
                 if budget.stops(samples, 1):
                     stopped = True
                     break
             next_replica += chunk
     else:
+        deterministic = critical_path_timeline(schedule, per_stage, **transfer)
         for replica in range(replicas):
-            drawn = draw(replica)
-            timeline = critical_path_timeline(
-                schedule, drawn,
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-                p2p_latency_s=p2p_latency_s,
-                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-            )
+            # Bit-identical to perturb_stage_costs(..., replica_rng(seed, replica)).
+            variates = _replica_variates(seed, replica, num_ranks, len(per_stage))
+            drawn = _apply_variates(per_stage, spec, variates, vs_rank)
+            timeline = critical_path_timeline(schedule, drawn, **transfer)
             if validate:
-                oracle = simulate_pipeline(
-                    schedule, list(drawn),
-                    p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-                    p2p_latency_s=p2p_latency_s,
-                    pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-                )
+                oracle = simulate_pipeline(schedule, list(drawn), **transfer)
                 _check_against_oracle(timeline, oracle)
             samples.append(timeline.total_s)
             bubbles.append(timeline.bubble_fraction)
@@ -777,4 +883,5 @@ def monte_carlo_timeline(
         seed=seed,
         spec=spec,
         target_ci_halfwidth=ci_halfwidth,
+        deterministic_timeline=deterministic,
     )

@@ -139,6 +139,12 @@ class TestCli:
         ["sim-pipeline", "--pp", "0"],
         ["sim-pipeline", "--chunks", "0"],
         ["sim-pipeline", "--micro-batches", "0"],
+        ["estimate", "--model", "7B", "--seqlen-k", "16", "--gpus", "2",
+         "--jitter", "compute=1e308"],
+        ["estimate", "--model", "7B", "--seqlen-k", "16", "--gpus", "2",
+         "--jitter", "straggler=0.5:0.0001"],
+        ["sim-pipeline", "--jitter", "compute=1e308"],
+        ["sim-pipeline", "--jitter", "straggler=0.5:0.0001"],
     ], ids=" ".join)
     def test_bad_search_flag_is_a_one_line_usage_error(self, argv, capsys):
         assert main(argv) == 2
